@@ -44,7 +44,7 @@ from .factory import build_device_tree, build_tree, make_system
 from .lincheck import SequentialReference, check_linearizable
 from .memory import MemoryArena
 from .metrics import ResponseTimeStats, ShardQoS, ThroughputResult, response_time_stats
-from .sharding import ShardPlan, ShardRouter, ShardedSystem
+from .sharding import ParallelShardedSystem, ShardPlan, ShardRouter
 from .workloads import (
     PAPER_DEFAULT,
     RANGE_4,
@@ -80,6 +80,7 @@ __all__ = [
     "NoCCGBTree",
     "OpKind",
     "PAPER_DEFAULT",
+    "ParallelShardedSystem",
     "RANGE_4",
     "RANGE_8",
     "ReproError",
@@ -89,7 +90,6 @@ __all__ = [
     "ShardPlan",
     "ShardQoS",
     "ShardRouter",
-    "ShardedSystem",
     "StmGBTree",
     "System",
     "ThroughputResult",

@@ -27,7 +27,6 @@ from .stm import StmRegion
 EIRENE_VARIANTS: dict[str, EireneConfig] = {
     "eirene": FULL_EIRENE,
     "eirene+combining": COMBINING_ONLY,  # Fig. 11's "+ Combining" bar
-    "eirene-no-locality": COMBINING_ONLY,
     "eirene-no-rf": EireneConfig(enable_rf_decision=False),
     "eirene-no-ntg": EireneConfig(enable_narrowed_thread_groups=False),
     "eirene-no-partition": EireneConfig(enable_kernel_partition=False),

@@ -28,7 +28,6 @@ SYSTEM_LABELS = {
     "lock": "Lock GB-tree",
     "eirene": "Eirene",
     "eirene+combining": "+ Combining",
-    "eirene-no-locality": "Eirene (no locality)",
     "eirene-no-rf": "Eirene (no RF decision)",
     "eirene-no-ntg": "Eirene (no NTG search)",
     "eirene-no-partition": "Eirene (unified kernel)",

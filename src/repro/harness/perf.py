@@ -10,7 +10,7 @@ thing measured is host wall-clock. Three modes:
     repo's slot loop, kept verbatim as the semantic baseline;
 ``vectorized``
     the optimized :meth:`~repro.simt.Warp.step` fast path (batched counter
-    flushes, parked barrier waits, bulk loads);
+    flushes, parked barrier waits, retired lanes dropped);
 ``vect+shards``
     the fast path with the batch split across a
     :class:`~repro.sharding.ParallelShardedSystem` fleet (worker
@@ -42,7 +42,7 @@ from .report import FigureResult
 MIXES = {"YCSB-A": YCSB_A, "YCSB-B": YCSB_B, "YCSB-C": YCSB_C}
 
 #: the reference interpreter, exactly as the escape hatch selects it
-SEQUENTIAL = ExecutionConfig(vectorize_slots=False, park_barrier_waits=False)
+SEQUENTIAL = ExecutionConfig(vectorize_slots=False)
 #: the optimized fast path (the process default)
 VECTORIZED = ExecutionConfig()
 

@@ -1,9 +1,9 @@
 """Shard-scaling benchmark: modeled throughput vs shard count.
 
-Runs the YCSB uniform workload (the paper's §8.1 default mix) against a
-:class:`~repro.sharding.ShardedSystem` at increasing shard counts and
-reports modeled throughput, speedup over the single-shard baseline, and the
-per-shard load/QoS breakdown that
+Runs the YCSB uniform workload (the paper's §8.1 default mix) against an
+in-process :class:`~repro.sharding.ParallelShardedSystem` at increasing
+shard counts and reports modeled throughput, speedup over the single-shard
+baseline, and the per-shard load/QoS breakdown that
 :func:`~repro.sharding.merge.merge_shard_outcomes` attaches to every merged
 outcome. The merged batch time is the straggler shard's time, so the
 speedup column directly measures how evenly the fence-key plan balances the
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..baselines.base import merge_outcomes
-from ..sharding import ShardedSystem
+from ..sharding import ParallelShardedSystem
 from ..workloads import YcsbWorkload, build_key_pool
 from .experiment import ExperimentConfig
 from .figures import default_config
@@ -29,7 +29,6 @@ def shard_scaling(
     cfg: ExperimentConfig | None = None,
     shard_counts: tuple[int, ...] = (1, 2, 4, 8),
     system: str = "eirene",
-    executor: str = "serial",
 ) -> FigureResult:
     """Throughput/speedup table over ``shard_counts``, plus per-shard QoS."""
     cfg = cfg or default_config()
@@ -45,12 +44,11 @@ def shard_scaling(
     for n_shards in shard_counts:
         rng = np.random.default_rng(cfg.seed)
         keys, values = build_key_pool(cfg.tree_size, rng)
-        fleet = ShardedSystem.build(
+        fleet = ParallelShardedSystem(
             system,
             keys,
             values,
-            n_shards=n_shards,
-            executor=executor,
+            n_shards,
             tree_config=cfg.tree_config,
             device=cfg.device,
             fill_factor=cfg.fill_factor,

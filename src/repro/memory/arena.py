@@ -10,8 +10,9 @@ Two access planes exist:
 
 * **counted** accesses (:meth:`read`, :meth:`write`, :meth:`atomic_cas`, …)
   increment :class:`~repro.memory.stats.MemoryStats` and are what kernels
-  use. Warp-granularity vector accesses (:meth:`read_gather`) additionally
-  feed the coalescing model.
+  use. The warp-granularity vector accesses :meth:`read_gather` and
+  :meth:`write_scatter` are the only bulk API; they additionally feed the
+  coalescing model.
 * **host** accesses (:meth:`host_view`, :attr:`data`) are free — they model
   CPU-side setup such as the initial bulk build, exactly as the paper
   excludes tree-construction cost from its measurements.
@@ -48,13 +49,6 @@ class MemoryArena:
         #: when False, counted accessors skip all accounting (fast path for
         #: functional runs where only results matter).
         self.counting = True
-        #: fast-path hook (see Warp._step_fast): while a warp slot has
-        #: deferred loads in flight, this holds a callable that flushes
-        #: them. Host-plane helpers that mutate device-visible words during
-        #: a kernel (tree splits, RF updates, STM invalidation) must call
-        #: :meth:`host_write_sync` first so no deferred load can observe
-        #: their writes out of program order.
-        self._host_barrier = None
 
     # ------------------------------------------------------------------ #
     # allocation
@@ -137,7 +131,6 @@ class MemoryArena:
         self._pending_labels.clear()
         self._stats.reset()
         self.counting = True
-        self._host_barrier = None
 
     # ------------------------------------------------------------------ #
     # statistics (lazy per-label flush)
@@ -157,18 +150,6 @@ class MemoryArena:
     def stats(self, value: MemoryStats) -> None:
         self._pending_labels.clear()
         self._stats = value
-
-    def host_write_sync(self) -> None:
-        """Order a host-plane write after any in-flight deferred loads.
-
-        Host helpers that mutate device-visible words *while a kernel is
-        executing* (split application, RF maintenance, STM invalidation)
-        call this first; it is a no-op unless the fast warp interpreter has
-        loads deferred in the current slot.
-        """
-        barrier = self._host_barrier
-        if barrier is not None:
-            barrier()
 
     # ------------------------------------------------------------------ #
     # counted scalar accesses
@@ -279,62 +260,6 @@ class MemoryArena:
             if label:
                 pending = self._pending_labels
                 pending[label] = pending.get(label, 0) + 1
-        self._data[addrs] = values
-
-    # ------------------------------------------------------------------ #
-    # bulk accesses (fast warp interpreter / batched host tooling)
-    # ------------------------------------------------------------------ #
-    def gather(self, addrs, label: str | None = None, *, counted: bool = False) -> np.ndarray:
-        """Bulk load of ``addrs`` (any int sequence) in one numpy gather.
-
-        With ``counted=False`` (default) this is the *device raw plane*
-        used by the fast warp interpreter: the SIMT executor charges its
-        own :class:`~repro.simt.KernelCounters`, exactly as its scalar
-        reference path reads ``self.data`` directly, so nothing is charged
-        here. With ``counted=True`` it charges :attr:`stats` identically
-        to ``len(addrs)`` scalar :meth:`read` calls (same reads / words /
-        transactions / label totals), letting batched host tooling keep
-        scalar-equivalent accounting.
-        """
-        addrs = np.asarray(addrs, dtype=np.intp)
-        if addrs.size and (addrs.min() < 0 or addrs.max() >= self._data.size):
-            raise MemoryError_("gather address out of bounds")
-        if counted and self.counting and addrs.size:
-            n = int((addrs < self._user_capacity).sum())
-            if n:
-                stats = self._stats
-                stats.reads += n
-                stats.read_words += n
-                stats.transactions += n
-                if label:
-                    pending = self._pending_labels
-                    pending[label] = pending.get(label, 0) + n
-        return self._data[addrs]
-
-    def scatter(
-        self, addrs, values, label: str | None = None, *, counted: bool = False
-    ) -> None:
-        """Bulk store of ``values`` to ``addrs`` in one numpy scatter.
-
-        Mirror of :meth:`gather`: uncounted by default (device raw plane),
-        or charged identically to ``len(addrs)`` scalar :meth:`write`
-        calls with ``counted=True``. Duplicate addresses follow numpy
-        fancy-assignment semantics (last write wins), matching a
-        sequential loop of scalar writes.
-        """
-        addrs = np.asarray(addrs, dtype=np.intp)
-        if addrs.size and (addrs.min() < 0 or addrs.max() >= self._data.size):
-            raise MemoryError_("scatter address out of bounds")
-        if counted and self.counting and addrs.size:
-            n = int((addrs < self._user_capacity).sum())
-            if n:
-                stats = self._stats
-                stats.writes += n
-                stats.write_words += n
-                stats.transactions += n
-                if label:
-                    pending = self._pending_labels
-                    pending[label] = pending.get(label, 0) + n
         self._data[addrs] = values
 
     # ------------------------------------------------------------------ #

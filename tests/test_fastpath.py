@@ -1,6 +1,6 @@
 """Equivalence tests for the vectorized warp interpreter and its satellites.
 
-The :class:`~repro.config.ExecutionConfig` contract says every flag is
+The :class:`~repro.config.ExecutionConfig` contract says its setting is
 observationally neutral: counters, lane results, arena contents and QoS
 arrays are bit-for-bit identical on the reference path
 (``vectorize_slots=False``) and the fast path. These tests enforce that on
@@ -9,14 +9,13 @@ arrays are bit-for-bit identical on the reference path
   divergent lengths, early retirees),
 * iteration-warp style ``WaitGE`` barriers with uneven arrival (the only
   construct the fast path *parks* on),
-* the bulk-load deferral path (``gather_threshold=1``) including host
-  mutation mid-kernel via a full Eirene batch,
-* whole-system batches for every system kind,
+* whole-system batches for every system kind, including host mutation
+  mid-kernel (Eirene splits),
 
 plus the probe fallback rule (an attached probe must see every op, i.e.
 the reference path runs), the ``REPRO_SLOW_PATH=1`` escape hatch, the
-:class:`~repro.sharding.ParallelShardedSystem` worker-count invariance, and
-the arena's bulk/lazy accounting satellites.
+:class:`~repro.sharding.ParallelShardedSystem` worker-count invariance and
+failure handling, and the arena's lazy label accounting.
 
 Random programs respect the ``WaitGE`` contract: the condition sequence is
 only ever advanced by same-warp lanes, and each waiting program keeps its
@@ -32,7 +31,8 @@ import pytest
 
 from repro.config import DeviceConfig, ExecutionConfig, execution_config, set_execution_config
 from repro.memory import MemoryArena
-from repro.sharding import ParallelShardedSystem, ShardedSystem
+from repro.errors import SimulationError
+from repro.sharding import ParallelShardedSystem
 from repro.simt import (
     Alu,
     AtomicAdd,
@@ -47,7 +47,7 @@ from repro.simt import (
     WaitGE,
 )
 
-SEQUENTIAL = ExecutionConfig(vectorize_slots=False, park_barrier_waits=False)
+SEQUENTIAL = ExecutionConfig(vectorize_slots=False)
 
 
 @pytest.fixture(autouse=True)
@@ -85,7 +85,7 @@ def random_program(rng: np.random.Generator, lane: int, n_lanes: int):
     """One seeded lane program over a mixed op stream.
 
     Lane length varies (divergence + early retirement); values derived
-    from loads feed later stores so deferred-load results are observable.
+    from loads feed later stores so every load result is observable.
     """
     n_ops = int(rng.integers(4, 40))
     kinds = rng.integers(0, 8, size=n_ops)
@@ -144,17 +144,6 @@ def test_random_programs_equivalent(seed):
     assert_equivalent(make, ExecutionConfig())
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_random_programs_equivalent_with_gather(seed):
-    """gather_threshold=1 exercises the deferred bulk-load plane."""
-
-    def make(n_lanes):
-        rng = np.random.default_rng((888, seed))
-        return [random_program(rng, i, n_lanes) for i in range(n_lanes)]
-
-    assert_equivalent(make, ExecutionConfig(gather_threshold=1))
-
-
 # --------------------------------------------------------------------- #
 # WaitGE barriers (the parked-lane machinery)
 # --------------------------------------------------------------------- #
@@ -185,12 +174,6 @@ def barrier_programs(n_lanes: int, n_iters: int = 4):
 
 def test_barrier_programs_equivalent():
     assert_equivalent(barrier_programs, ExecutionConfig())
-
-
-def test_barrier_parking_disabled_still_equivalent():
-    assert_equivalent(
-        barrier_programs, ExecutionConfig(park_barrier_waits=False)
-    )
 
 
 # --------------------------------------------------------------------- #
@@ -273,20 +256,19 @@ def test_system_batches_equivalent(system):
     assert np.array_equal(ref_items[1], fast_items[1])
 
 
-def test_eirene_equivalent_with_forced_gather():
-    """Inserts split nodes mid-kernel (host mutation): the arena's
-    host_write_sync barrier must flush deferred loads first."""
-    ref_outs, ref_items = _run_system_batches("eirene", SEQUENTIAL)
-    fast_outs, fast_items = _run_system_batches(
-        "eirene", ExecutionConfig(gather_threshold=1)
-    )
-    assert deep_eq(ref_outs, fast_outs)
-    assert np.array_equal(ref_items[0], fast_items[0])
-
-
 # --------------------------------------------------------------------- #
 # parallel sharded execution
 # --------------------------------------------------------------------- #
+def _run_fleet(n_workers: int, keys, values, batches, engine: str = "simt"):
+    """Outcomes, final items and name of a 4-shard Eirene fleet."""
+    with ParallelShardedSystem(
+        "eirene", keys, values, 4, n_workers=n_workers, seed=11
+    ) as fleet:
+        outs = [fleet.process_batch(b, engine=engine) for b in batches]
+        fleet.validate()
+        return outs, fleet.items(), fleet.name
+
+
 def test_parallel_sharded_identity_across_worker_counts():
     from repro import YcsbWorkload, build_key_pool
     from repro.workloads import YCSB_A
@@ -296,21 +278,91 @@ def test_parallel_sharded_identity_across_worker_counts():
     wl = YcsbWorkload(pool=keys, mix=YCSB_A)
     batches = [wl.generate(256, rng) for _ in range(2)]
 
-    ref_sys = ShardedSystem.build("eirene", keys, values, 4, seed=11)
-    ref = [ref_sys.process_batch(b, engine="simt") for b in batches]
-    ref_items = ref_sys.items()
-
-    for n_workers in (0, 1, 2, 4):  # 0 = in-process serial fallback
-        with ParallelShardedSystem(
-            "eirene", keys, values, 4, n_workers=n_workers, seed=11
-        ) as fleet:
-            outs = [fleet.process_batch(b, engine="simt") for b in batches]
-            fleet.validate()
-            items = fleet.items()
-            assert fleet.name == ref_sys.name
+    ref, ref_items, ref_name = _run_fleet(0, keys, values, batches)  # in-process
+    for n_workers in (1, 2, 4):
+        outs, items, name = _run_fleet(n_workers, keys, values, batches)
+        assert name == ref_name
         assert deep_eq(ref, outs), f"outcome diverged at n_workers={n_workers}"
         assert np.array_equal(items[0], ref_items[0])
         assert np.array_equal(items[1], ref_items[1])
+
+
+def test_fleet_runs_in_process_when_fork_is_refused(monkeypatch):
+    import multiprocessing.context
+
+    from repro import YcsbWorkload, build_key_pool
+
+    rng = np.random.default_rng(5)
+    keys, values = build_key_pool(2**9, rng)
+    batches = [YcsbWorkload(pool=keys).generate(128, rng) for _ in range(2)]
+    ref = _run_fleet(0, keys, values, batches, engine="vector")
+
+    def refuse(self):
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", refuse)
+    with ParallelShardedSystem(
+        "eirene", keys, values, 4, n_workers=2, seed=11
+    ) as fleet:
+        assert fleet.n_workers == 0
+    assert deep_eq(ref, _run_fleet(2, keys, values, batches, engine="vector"))
+
+
+def test_fleet_replies_stay_in_step_after_a_shard_failure(monkeypatch):
+    """A shard that fails mid-batch must not leave other workers' replies
+    in the pipes: the next ``items()`` and ``process_batch`` read their own
+    replies, and the fleet state matches the in-process fleet's."""
+    from repro import EireneTree, OpKind, RequestBatch, build_key_pool
+
+    rng = np.random.default_rng(3)
+    keys, values = build_key_pool(2**9, rng)
+    fail_key = int(keys.min())  # owned by shard 0
+    original = EireneTree.process_batch
+
+    def flaky(self, batch, engine="vector"):
+        if np.any(batch.keys == fail_key):
+            raise RuntimeError("injected shard failure")
+        return original(self, batch, engine=engine)
+
+    # patched before the fleets fork, so workers inherit the failure
+    monkeypatch.setattr(EireneTree, "process_batch", flaky)
+
+    def updates(n, extra=()):
+        ks = rng.choice(keys[keys != fail_key], n, replace=False)
+        ops = [(OpKind.UPDATE, int(k), int(k) + 1) for k in ks]
+        return RequestBatch.from_ops(ops + list(extra))
+
+    batches = [updates(64), updates(64, [(OpKind.QUERY, fail_key)]), updates(64)]
+    runs = {}
+    for n_workers in (0, 2):
+        with ParallelShardedSystem(
+            "eirene", keys, values, 4, n_workers=n_workers, seed=11
+        ) as fleet:
+            fleet.process_batch(batches[0])
+            with pytest.raises(SimulationError, match=r"shard 0 failed"):
+                fleet.process_batch(batches[1])
+            items = fleet.items()
+            assert items[0].size == keys.size
+            out = fleet.process_batch(batches[2])
+            assert out.results.values.size == batches[2].n
+            fleet.validate()
+        runs[n_workers] = (items, out)
+    assert deep_eq(runs[0], runs[2])
+
+
+def test_fleet_names_the_shards_of_a_dead_worker():
+    from repro import YcsbWorkload, build_key_pool
+
+    rng = np.random.default_rng(4)
+    keys, values = build_key_pool(2**9, rng)
+    batch = YcsbWorkload(pool=keys).generate(128, rng)
+    with ParallelShardedSystem("nocc", keys, values, 4, n_workers=2) as fleet:
+        proc, _ = fleet._workers[1]  # owns shards 1 and 3
+        proc.kill()
+        proc.join(timeout=5)
+        assert not proc.is_alive()
+        with pytest.raises(SimulationError, match=r"shard 1, 3 failed"):
+            fleet.process_batch(batch)
 
 
 def test_parallel_sharded_worker_error_propagates():
@@ -323,40 +375,8 @@ def test_parallel_sharded_worker_error_propagates():
 
 
 # --------------------------------------------------------------------- #
-# arena satellites: bulk counted plane + lazy label flush
+# arena: lazy label flush
 # --------------------------------------------------------------------- #
-def test_arena_gather_scatter_counted_matches_scalar_loop():
-    a = MemoryArena(64)
-    b = MemoryArena(64)
-    a.data[:16] = np.arange(16)
-    b.data[:16] = np.arange(16)
-    addrs = [3, 7, 7, 11]
-
-    got = a.gather(addrs, label="probe", counted=True)
-    for addr in addrs:
-        b.read(addr, label="probe")
-    assert list(got) == [3, 7, 7, 11]
-
-    a.scatter(addrs, [30, 70, 71, 110], label="probe", counted=True)
-    for addr, v in zip(addrs, [30, 70, 71, 110]):
-        b.write(addr, v, label="probe")
-
-    sa, sb = a.stats, b.stats
-    for f in ("reads", "writes", "read_words", "write_words", "transactions"):
-        assert getattr(sa, f) == getattr(sb, f), f
-    assert sa.by_label == sb.by_label == {"probe": 8}
-    # duplicate address: last write wins, like the scalar loop
-    assert np.array_equal(a.data[:16], b.data[:16])
-
-
-def test_arena_gather_uncounted_charges_nothing():
-    a = MemoryArena(64)
-    a.gather([1, 2, 3])
-    a.scatter([1, 2], [5, 6])
-    s = a.stats
-    assert (s.reads, s.writes, s.transactions) == (0, 0, 0)
-
-
 def test_lazy_label_accounting_flushes_on_observation():
     a = MemoryArena(64)
     for _ in range(5):

@@ -1,11 +1,11 @@
-"""Shard router, sharded system, and scaling behavior."""
+"""Shard router, shard fleet (in-process and on workers), and scaling."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro import OpKind, RequestBatch, ShardPlan, ShardRouter, ShardedSystem
+from repro import OpKind, ParallelShardedSystem, RequestBatch, ShardPlan, ShardRouter
 from repro.errors import ConfigError
 from repro.harness import ExperimentConfig, shard_scaling
 from repro.lincheck import SequentialReference, check_linearizable
@@ -112,13 +112,35 @@ class TestShardRouter:
 
 
 # --------------------------------------------------------------------- #
-# ShardedSystem: linearizability + equivalence with the single tree
+# the fleet: linearizability + equivalence with the single tree
 # --------------------------------------------------------------------- #
 class TestShardedSystem:
+    """Every test runs on the in-process fleet (``n_workers=0``) here and on
+    two worker processes in :class:`TestFleetOnWorkers`."""
+
+    n_workers = 0
+
+    @pytest.fixture
+    def make_fleet(self):
+        """Builds fleets at this class's worker count; closes them after."""
+        fleets = []
+
+        def build(system, keys, values, n_shards, **kwargs):
+            fleets.append(
+                ParallelShardedSystem(
+                    system, keys, values, n_shards, n_workers=self.n_workers, **kwargs
+                )
+            )
+            return fleets[-1]
+
+        yield build
+        for f in fleets:
+            f.close()
+
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 4])
-    def test_mixed_batches_linearizable(self, n_shards):
+    def test_mixed_batches_linearizable(self, make_fleet, n_shards):
         keys, values = _pool(3)
-        fleet = ShardedSystem.build("eirene", keys, values, n_shards=n_shards)
+        fleet = make_fleet("eirene", keys, values, n_shards)
         rng = np.random.default_rng(7)
         wl = YcsbWorkload(pool=keys, mix=MIXED)
         ref = SequentialReference(keys, values)
@@ -130,11 +152,11 @@ class TestShardedSystem:
         fleet.validate()
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
-    def test_sharded_equals_single_tree(self, seed):
+    def test_sharded_equals_single_tree(self, make_fleet, seed):
         """Property: results and final contents match the 1-shard system."""
         keys, values = _pool(seed)
-        single = ShardedSystem.build("eirene", keys, values, n_shards=1, seed=0)
-        fleet = ShardedSystem.build("eirene", keys, values, n_shards=4, seed=0)
+        single = make_fleet("eirene", keys, values, 1, seed=0)
+        fleet = make_fleet("eirene", keys, values, 4, seed=0)
         rng_a = np.random.default_rng(seed)
         rng_b = np.random.default_rng(seed)
         wl_a = YcsbWorkload(pool=keys, mix=MIXED)
@@ -159,21 +181,9 @@ class TestShardedSystem:
         np.testing.assert_array_equal(ka, kb)
         np.testing.assert_array_equal(va, vb)
 
-    def test_thread_executor_matches_serial(self):
-        keys, values = _pool(4)
-        rng = np.random.default_rng(5)
-        batch = YcsbWorkload(pool=keys, mix=MIXED).generate(256, rng)
-        serial = ShardedSystem.build("stm", keys, values, n_shards=3, executor="serial")
-        threaded = ShardedSystem.build("stm", keys, values, n_shards=3, executor="thread")
-        out_s = serial.process_batch(batch)
-        out_t = threaded.process_batch(batch)
-        np.testing.assert_array_equal(out_s.results.values, out_t.results.values)
-        np.testing.assert_array_equal(out_s.results.range_keys, out_t.results.range_keys)
-        assert out_s.seconds == pytest.approx(out_t.seconds)
-
-    def test_merged_outcome_carries_per_shard_breakdown(self):
+    def test_merged_outcome_carries_per_shard_breakdown(self, make_fleet):
         keys, values = _pool(6)
-        fleet = ShardedSystem.build("lock", keys, values, n_shards=2)
+        fleet = make_fleet("lock", keys, values, 2)
         rng = np.random.default_rng(1)
         batch = YcsbWorkload(pool=keys).generate(256, rng)
         out = fleet.process_batch(batch)
@@ -189,10 +199,19 @@ class TestShardedSystem:
         assert out.trace is not None
         assert set(out.extras["shard_traces"]) == {0, 1}
 
-    def test_build_rejects_executor_typo(self):
-        keys, values = _pool(8)
-        with pytest.raises(ConfigError):
-            ShardedSystem.build("nocc", keys, values, n_shards=2, executor="processes")
+    def test_validate_checks_fence_bounds(self, make_fleet):
+        keys, values = _pool(9)
+        fleet = make_fleet("nocc", keys, values, 4)
+        fleet.validate()
+        # shift every fence up by one: shard 1's first key now lies below
+        # its range (trees stay valid, only the plan disagrees)
+        fleet.plan = ShardPlan(fences=fleet.plan.fences + 1)
+        with pytest.raises(ConfigError, match="shard 1 holds keys outside"):
+            fleet.validate()
+
+
+class TestFleetOnWorkers(TestShardedSystem):
+    n_workers = 2
 
 
 # --------------------------------------------------------------------- #
