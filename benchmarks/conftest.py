@@ -6,15 +6,24 @@ runs the corresponding harness function once under ``benchmark.pedantic``
 paper-vs-measured table, saves it under ``benchmarks/results/`` (both the
 rendered ``.txt`` table and a machine-readable ``.json`` twin), and
 asserts the figure's qualitative shape.
+
+The repo root goes on ``sys.path`` so benches can import the test oracle
+(``tests.reference_interp``) under bare ``pytest`` as well as under
+``python -m pytest``.
 """
 
 from __future__ import annotations
 
 import pathlib
+import sys
 
 import pytest
 
 from repro.harness import ExperimentConfig, FigureResult
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 

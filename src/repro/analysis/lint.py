@@ -34,6 +34,11 @@ R4    **missing-branch** — a value obtained from a direct data yield
       where divergence charges come from. Values from ``yield from`` are
       exempt (the callee charges its own branches), and a delegation
       between the yield and the test also satisfies the rule.
+R5    **wait-recheck** — every ``yield WaitGE(...)`` must sit lexically
+      inside a ``while`` loop of the same function. ``WaitGE`` is a
+      scheduling hint, never a source of truth: the program re-tests its
+      own condition around the yield (see the ``WaitGE`` contract in
+      ``simt/instructions.py``).
 ====  =================================================================
 
 Run as ``python -m repro.analysis.lint [paths...]`` (defaults to the
@@ -197,6 +202,24 @@ class _FunctionLinter:
                     "the Op stream in device code",
                 )
 
+    # -- R5 (WaitGE under a while re-check) ------------------------------ #
+    def check_waits(self, node: ast.AST | None = None, in_while: bool = False) -> None:
+        for child in ast.iter_child_nodes(node or self.fn):
+            if isinstance(child, _NESTED_SCOPES):
+                continue
+            if (
+                not in_while
+                and isinstance(child, ast.Yield)
+                and _yield_op_name(child) == "WaitGE"
+            ):
+                self.emit(
+                    child.lineno, "R5-wait-recheck",
+                    "yield WaitGE(...) outside a while loop: WaitGE is a "
+                    "scheduling hint, so re-test the condition in a while "
+                    "loop around the yield",
+                )
+            self.check_waits(child, in_while or isinstance(child, ast.While))
+
     # -- R4 (linear taint scan) ------------------------------------------ #
     def check_branches(self) -> None:
         self._scan(self.fn.body)
@@ -313,6 +336,7 @@ def lint_source(source: str, path: str = "<string>") -> list[Finding]:
             fl = _FunctionLinter(node, path, findings)
             fl.check_structure()
             fl.check_branches()
+            fl.check_waits()
     findings.sort(key=lambda f: (f.path, f.line))
     return findings
 

@@ -8,7 +8,6 @@ failing deep inside a kernel.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -154,59 +153,6 @@ class EireneConfig:
     def replace(self, **kwargs: object) -> "EireneConfig":
         """Return a copy with the given fields replaced."""
         return dataclasses.replace(self, **kwargs)
-
-
-@dataclass(frozen=True)
-class ExecutionConfig:
-    """How the *simulator itself* executes — never what it computes.
-
-    The one setting is observationally neutral: counters, arena contents,
-    lane results and timing-model outputs are bit-for-bit identical either
-    way. It only trades interpreter wall-clock time, so goldens and figures
-    can never depend on it.
-
-    ``REPRO_SLOW_PATH=1`` in the environment forces the reference
-    interpreter (``vectorize_slots=False``) regardless of programmatic
-    settings — the escape hatch for bisecting a suspected fast-path bug.
-    """
-
-    #: use the optimized :meth:`~repro.simt.Warp.step` path (batched
-    #: counter flushes, lanes parked on barrier waits, retired lanes
-    #: dropped). Attaching an analysis probe always falls back to the
-    #: reference interpreter regardless of this flag.
-    vectorize_slots: bool = True
-
-
-def _execution_config_from_env() -> ExecutionConfig:
-    if os.environ.get("REPRO_SLOW_PATH", "") == "1":
-        return ExecutionConfig(vectorize_slots=False)
-    return ExecutionConfig()
-
-
-_execution: ExecutionConfig | None = None
-
-
-def execution_config() -> ExecutionConfig:
-    """The process-wide :class:`ExecutionConfig` (lazily env-initialized)."""
-    global _execution
-    if _execution is None:
-        _execution = _execution_config_from_env()
-    return _execution
-
-
-def set_execution_config(cfg: ExecutionConfig | None) -> ExecutionConfig:
-    """Install ``cfg`` process-wide; ``None`` re-reads the environment.
-
-    Returns the previous configuration so tests can restore it. The
-    ``REPRO_SLOW_PATH=1`` escape hatch wins even over programmatic
-    settings — when set, ``vectorize_slots`` is forced off.
-    """
-    global _execution
-    previous = execution_config()
-    if cfg is None or os.environ.get("REPRO_SLOW_PATH", "") == "1":
-        cfg = _execution_config_from_env()
-    _execution = cfg
-    return previous
 
 
 #: Configuration matching the paper's "+ Combining" ablation bar (Fig. 11):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DeviceConfig, ExecutionConfig
+from .config import DeviceConfig
 from .errors import ConfigError
 from .memory import MemoryArena
 from .memory.stats import MemoryStats
@@ -54,13 +54,8 @@ class DeviceContext:
         device: DeviceConfig | None = None,
         cost: "object | None" = None,
         seed: int = 0,
-        execution: "ExecutionConfig | None" = None,
     ) -> None:
         self.device = device or DeviceConfig()
-        #: interpreter selection for launches created by this context;
-        #: ``None`` defers to the process-wide execution config (which
-        #: honours the ``REPRO_SLOW_PATH=1`` escape hatch).
-        self.execution = execution
         if arena is not None:
             if capacity_words is not None and arena.capacity != capacity_words:
                 raise ValueError(
@@ -101,8 +96,7 @@ class DeviceContext:
         from .simt import KernelLaunch
 
         return KernelLaunch(
-            self.device, self.arena, n_requests, rng=rng, probe=self.sanitizer,
-            execution=self.execution,
+            self.device, self.arena, n_requests, rng=rng, probe=self.sanitizer
         )
 
     def attach_probe(self, probe) -> None:
@@ -156,7 +150,6 @@ class DeviceContext:
             device=self.device,
             cost=self.cost,
             seed=self.seed if seed is None else seed,
-            execution=self.execution,
         )
         np.copyto(twin.arena.data, self.arena.data[: self.arena.capacity])
         twin.arena._brk = self.arena.allocated

@@ -29,7 +29,6 @@ from .figures import (
     fig13_range_query,
     linearizability_demo,
 )
-from .perf import interp_speed
 from .report import FigureResult
 from .sanitize import sanitize_report, sanitize_systems
 from .scaling import shard_scaling
@@ -56,7 +55,6 @@ __all__ = [
     "fig11_design_choices",
     "fig12_optimization_contributions",
     "fig13_range_query",
-    "interp_speed",
     "linearizability_demo",
     "run_all",
     "run_system",

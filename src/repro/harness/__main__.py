@@ -8,7 +8,6 @@ Usage::
     python -m repro.harness all            # every figure (slow)
     python -m repro.harness calibrate      # SIMT vs vector cross-check
     python -m repro.harness sanitize       # race-detector gate (small cfg)
-    python -m repro.harness perf           # interpreter speedup table
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import argparse
 import sys
 
 from ..simt.calibration import calibrate
-from . import ablations, figures, perf, scaling
+from . import ablations, figures, scaling
 from .experiment import ExperimentConfig
 from .sanitize import sanitize_report
 
@@ -47,8 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduce figures of the Eirene paper (PPoPP'23).",
     )
     parser.add_argument(
-        "target", choices=[*RUNNERS, "all", "list", "calibrate", "sanitize", "perf"],
-        help="figure id, 'all', 'list', 'calibrate', 'sanitize', or 'perf'",
+        "target", choices=[*RUNNERS, "all", "list", "calibrate", "sanitize"],
+        help="figure id, 'all', 'list', 'calibrate', or 'sanitize'",
     )
     parser.add_argument("--tree-size", type=int, default=14, metavar="LOG2")
     parser.add_argument("--batch-size", type=int, default=13, metavar="LOG2")
@@ -64,14 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-system", default="eirene",
         help="system to shard for the 'shards' target (default: eirene)",
     )
-    parser.add_argument(
-        "--perf-repeats", type=int, default=2,
-        help="timing repeats per cell for the 'perf' target (best-of)",
-    )
-    parser.add_argument(
-        "--shard-workers", type=int, default=2,
-        help="worker processes for the 'perf' target's sharded mode",
-    )
     return parser
 
 
@@ -83,24 +74,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.target == "calibrate":
         print(calibrate().render())
-        return 0
-    if args.target == "perf":
-        # interpreter wall-clock speedups (sequential vs vectorized vs
-        # vectorized + parallel shards); every mode computes identical
-        # counters, so this never touches goldens
-        cfg = ExperimentConfig(
-            engine="simt",
-            tree_size=2**args.tree_size,
-            batch_size=2**args.batch_size,
-            n_batches=args.batches,
-            fanout=args.fanout,
-            num_sms=args.sms,
-            seed=args.seed,
-        )
-        fig = perf.interp_speed(
-            cfg, repeats=args.perf_repeats, shard_workers=args.shard_workers
-        )
-        print(fig.render())
         return 0
     if args.target == "sanitize":
         # race-detector gate: uses its own small SIMT config (every op is

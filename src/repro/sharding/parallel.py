@@ -32,10 +32,6 @@ Determinism is by construction, not by luck:
   never depends on which worker answered first (the parent does not even
   select on readiness — it drains pipes in worker order after broadcasting
   all jobs).
-
-Workers install the parent's :class:`~repro.config.ExecutionConfig` at
-startup, so ``REPRO_SLOW_PATH=1`` and programmatic engine selection apply
-fleet-wide.
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ from functools import partial
 
 import numpy as np
 
-from ..config import execution_config, set_execution_config
 from ..errors import ConfigError, SimulationError
 from ..lincheck import SequentialReference
 from ..workloads.requests import RequestBatch
@@ -99,9 +94,8 @@ def _worker_lost(owned: list[int]) -> tuple:
     return "error", [(s, "shard worker exited") for s in owned]
 
 
-def _worker_main(conn, execution) -> None:
+def _worker_main(conn) -> None:
     """Worker loop: serve requests until ``close`` or the parent goes away."""
-    set_execution_config(execution)
     shards: dict = {}
     while True:
         try:
@@ -170,12 +164,9 @@ class ParallelShardedSystem:
             ctx = mp.get_context("fork")
         except ValueError:  # pragma: no cover - non-posix platform
             ctx = mp.get_context()
-        execution = execution_config()
         for _ in range(self.n_workers):
             parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_worker_main, args=(child_conn, execution), daemon=True
-            )
+            proc = ctx.Process(target=_worker_main, args=(child_conn,), daemon=True)
             proc.start()
             child_conn.close()
             self._workers.append((proc, parent_conn))

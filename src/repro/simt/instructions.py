@@ -102,8 +102,8 @@ class Branch(Op):
         self.taken = taken
 
 
-#: shared default-branch instance. Ops are immutable once yielded and both
-#: executors (and all probes) dispatch on ``type(op)`` alone, so device code
+#: shared default-branch instance. Ops are immutable once yielded and the
+#: interpreter (and all probes) dispatch on ``type(op)`` alone, so device code
 #: on a hot path may ``yield BRANCH`` instead of allocating ``Branch()``
 #: per control-flow slot.
 BRANCH = Branch()
@@ -123,25 +123,29 @@ class WaitGE(Op):
     """Barrier wait slot: park until ``seq[idx] >= target``.
 
     Semantically identical to :class:`Noop` — a zero-cost predicated-off
-    slot charged nothing — but it *names the wake condition*, so the fast
-    executor can park the lane and skip resuming its generator until the
+    slot charged nothing — but it *names the wake condition*, so the
+    interpreter can park the lane and skip resuming its generator until the
     condition holds instead of re-entering the spin loop every slot. The
-    reference interpreter treats it exactly like ``Noop``; programs keep
-    their own ``while`` re-check around the yield, so the condition here is
-    a scheduling hint, never a source of truth.
+    test oracle (``tests/reference_interp.py``) treats it exactly like
+    ``Noop``. Programs keep their own ``while`` re-check around the yield
+    (lint rule R5), so the condition here is a scheduling hint, never a
+    source of truth.
 
     ``seq`` is any indexable shared object (e.g. the iteration warp's
     ``shared["arrived"]`` list) whose ``seq[idx]`` is monotonically
     non-decreasing while any lane waits on it.
 
-    Contract (what the parking fast path relies on): *mid-slot* wakes are
+    Contract (what parking relies on): *mid-slot* wakes are
     only guaranteed when ``seq[idx]`` is advanced by a lane of the **same
     warp** during the current lockstep slot — the executor re-checks parked
     groups after each same-warp resumption and at every slot boundary.
     Advancement from outside the warp (host code, another warp) is
     observed at the next slot boundary, one slot later at most. Warp-local
     barriers (the only current use) arrive strictly through same-warp
-    lanes, so both paths wake waiters in the identical slot.
+    lanes, so the interpreter and the oracle wake waiters in the identical
+    slot. A barrier that can never open (every live lane of every active
+    warp parked on a closed condition) makes the launch raise
+    :class:`~repro.errors.SimulationError`.
     """
 
     __slots__ = ("seq", "idx", "target")

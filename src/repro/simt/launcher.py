@@ -14,6 +14,11 @@ variance (the paper's QoS argument: "it is unpredictable where the conflict
 occurs and how many retries are required"). Systems seed the rng from the
 batch contents, so runs stay reproducible while varying across batches.
 
+Progress: a round that ends with every still-active warp fully parked on
+closed ``WaitGE`` barriers raises :class:`~repro.errors.SimulationError`
+naming the warps, their parked lanes and the barrier conditions — once no
+lane can run, nothing can open a barrier, so the grid would spin forever.
+
 Timing: each SM accumulates the issue and memory cycles of its own warps'
 steps; the kernel's device time is the maximum over SMs (the straggler SM),
 matching how a real grid retires.
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Generator
 
-from ..config import DeviceConfig, ExecutionConfig
+from ..config import DeviceConfig
 from ..errors import SimulationError
 from ..memory import MemoryArena
 from .counters import KernelCounters
@@ -40,7 +45,6 @@ class KernelLaunch:
         n_requests: int,
         rng=None,
         probe=None,
-        execution: ExecutionConfig | None = None,
     ) -> None:
         self.device = device
         self.arena = arena
@@ -49,9 +53,6 @@ class KernelLaunch:
         #: analysis probe (race detector / hotspot profiler) observing every
         #: executed op; ``None`` leaves execution bit-for-bit unchanged.
         self.probe = probe
-        #: interpreter selection for this grid's warps; ``None`` defers to
-        #: the process-wide :func:`repro.config.execution_config`.
-        self.execution = execution
         self._warps: list[Warp] = []
         self._launched = False
 
@@ -61,9 +62,7 @@ class KernelLaunch:
         their shared buffer around the returned object)."""
         if self._launched:
             raise SimulationError("cannot add warps after launch")
-        warp = Warp(
-            programs, self.arena, self.device.warp_size, execution=self.execution
-        )
+        warp = Warp(programs, self.arena, self.device.warp_size)
         warp.warp_id = len(self._warps)
         warp.probe = self.probe
         self._warps.append(warp)
@@ -116,6 +115,13 @@ class KernelLaunch:
                 if warps[wi].active:
                     append(wi)
             active = still
+            if still and all(warps[wi].stalled() for wi in still):
+                # nothing can run, so nothing can ever open a barrier
+                raise SimulationError(
+                    "barrier deadlock: every active warp is parked on a "
+                    "barrier that cannot open; "
+                    + "; ".join(warps[wi].describe_parked() for wi in still)
+                )
         counters.cycles = max(sm_cycles) if sm_cycles else 0.0
         if self.probe is not None:
             self.probe.end_launch(counters)

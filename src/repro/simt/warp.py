@@ -17,21 +17,19 @@ them trivially atomic); a CAS that observes a value different from
 ``expected`` counts as an atomic conflict, which the timing model surcharges
 — that is where lock contention and STM ownership churn show up in time.
 
-Two interpreter paths implement the identical semantics (see DESIGN.md §9):
+One interpreter implements these semantics (see DESIGN.md §9). It parks
+lanes blocked on a :class:`WaitGE` barrier (skipping their generators until
+the condition holds), batches counter updates into one flush per slot, and
+drops retired lanes from the iteration list. Loads are scalar fetches in
+lane order, so a load always observes every earlier store and host-plane
+write. Analysis probes (race sanitizer, hotspot profiler) run inside the
+same loop: ``begin_slot`` once per :meth:`Warp.step` call and ``observe``
+after every op a lane executes, so observing never changes the schedule.
 
-* the **reference path** (:meth:`Warp._step_slow`) resumes every active
-  lane every slot and updates counters per op — the original interpreter,
-  kept verbatim as the executable specification;
-* the **fast path** (:meth:`Warp._step_fast`) produces bit-for-bit the same
-  counters, memory contents and lane results, but parks lanes blocked on a
-  :class:`WaitGE` barrier (skipping their generators entirely), batches
-  counter updates into one flush per slot, and drops retired lanes from
-  the iteration list. Loads stay scalar fetches in lane order, so a load
-  always observes every earlier store and host-plane write.
-
-Attaching an analysis probe (race sanitizer, hotspot profiler) always
-selects the reference path, so probes observe every op exactly as before.
-``REPRO_SLOW_PATH=1`` (see :mod:`repro.config`) forces it globally.
+A straightforward loop that resumes every active lane each slot and
+charges counters per op is kept in ``tests/reference_interp.py`` as the
+test oracle; the equivalence suite requires bit-identical counters, memory,
+lane results and probe output from both.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from __future__ import annotations
 from collections.abc import Generator
 from operator import attrgetter
 
-from ..config import ExecutionConfig, execution_config
 from ..errors import SimulationError
 from ..memory import MemoryArena
 from .counters import KernelCounters
@@ -52,7 +49,6 @@ from .instructions import (
     Load,
     Mark,
     Noop,
-    Op,
     Store,
     WaitGE,
 )
@@ -84,11 +80,11 @@ class Lane:
         self.steps = 0
         #: slot count at the lane's previous Mark (per-request service delta)
         self.mark_base = 0
-        #: fixed index within the warp; orders lanes when the fast path
+        #: fixed index within the warp; orders lanes when :meth:`Warp.step`
         #: re-inserts woken lanes into the iteration
         self.pos = pos
-        #: fast path: the barrier group this lane is parked on (see
-        #: :meth:`Warp._step_fast`), else None. Parked lanes are not resumed
+        #: the barrier group this lane is parked on (see
+        #: :meth:`Warp.step`), else None. Parked lanes are not resumed
         #: until ``seq[idx] >= target`` holds at their turn in lane order.
         self.wait: list | None = None
 
@@ -98,8 +94,7 @@ class Warp:
 
     __slots__ = (
         "lanes", "arena", "words_per_segment", "active", "shared", "probe",
-        "warp_id", "_fast", "_awake", "_groups", "_hot",
-        "_live_stale",
+        "warp_id", "_awake", "_groups", "_hot",
     )
 
     def __init__(
@@ -107,7 +102,6 @@ class Warp:
         programs: list[Generator],
         arena: MemoryArena,
         warp_size: int = 32,
-        execution: ExecutionConfig | None = None,
     ):
         if not programs:
             raise SimulationError("a warp needs at least one lane")
@@ -122,14 +116,12 @@ class Warp:
         self.shared: dict = {}
         #: analysis probe (race detector / hotspot profiler); set by the
         #: launcher when the owning DeviceContext has one attached. ``None``
-        #: keeps the hot path identical to a probe-free build.
+        #: skips every probe hook.
         self.probe = None
         #: grid-unique warp id assigned by the launcher (0 when standalone)
         self.warp_id = 0
-        ex = execution if execution is not None else execution_config()
-        self._fast = ex.vectorize_slots
         #: lanes that are runnable (active and not parked), in lane order;
-        #: the fast path iterates only these, so retired lanes and lanes
+        #: :meth:`step` iterates only these, so retired lanes and lanes
         #: parked at a barrier cost nothing per slot.
         self._awake = list(self.lanes)
         #: parked barrier groups ``[seq, idx, target, lanes]`` — one entry
@@ -139,150 +131,23 @@ class Warp:
         #: only these can open mid-slot, so only these are re-checked after
         #: each lane resumption (see the WaitGE contract in instructions.py).
         self._hot: list[list] = []
-        #: set by the reference path: fast-path scheduling state is stale
-        #: and must be rebuilt (probe runs interleave the two paths).
-        self._live_stale = False
 
     def step(self, counters: KernelCounters, cycle: float) -> tuple[int, int, int]:
-        """Advance every active lane one slot.
+        """Advance every runnable lane one slot.
 
         Returns ``(issue_slots, transactions, atomic_conflicts)`` for the
-        timing model. Marks the warp inactive when all lanes finished.
+        timing model. Marks the warp inactive when all lanes finished. An
+        attached probe gets ``begin_slot`` on every call, fully parked warps
+        included, and ``observe`` after each op a lane executes.
         """
-        if self.probe is not None or not self._fast:
-            return self._step_slow(counters, cycle)
-        return self._step_fast(counters, cycle)
-
-    # ------------------------------------------------------------------ #
-    # reference interpreter (the executable specification)
-    # ------------------------------------------------------------------ #
-    def _step_slow(self, counters: KernelCounters, cycle: float) -> tuple[int, int, int]:
-        data = self.arena.data
-        size = data.size
-        load_addrs: list[int] = []
-        store_addrs: list[int] = []
-        kinds = 0  # bitmask of op kinds present in this slot
-        transactions = 0
-        atomic_conflicts = 0
-        any_active = False
-        probe = self.probe
-        self._live_stale = True
-        if probe is not None:
-            probe.begin_slot(self.warp_id)
-
-        for lane_idx, lane in enumerate(self.lanes):
-            if not lane.active:
-                continue
-            try:
-                op: Op = lane.gen.send(lane.send_value)
-            except StopIteration as stop:
-                lane.active = False
-                lane.result = stop.value
-                continue
-            any_active = True
-            lane.send_value = None
-            lane.steps += 1
-            t = type(op)
-            if t is Load:
-                addr = op.addr
-                if not 0 <= addr < size:
-                    raise SimulationError(f"load address {addr} out of bounds")
-                lane.send_value = int(data[addr])
-                load_addrs.append(addr)
-                counters.mem_inst += 1
-                counters.load_inst += 1
-                kinds |= 1
-            elif t is Branch:
-                counters.control_inst += 1
-                kinds |= 16
-            elif t is Alu:
-                counters.alu_inst += op.count
-                kinds |= 8
-            elif t is Store:
-                addr = op.addr
-                if not 0 <= addr < size:
-                    raise SimulationError(f"store address {addr} out of bounds")
-                data[addr] = op.value
-                store_addrs.append(addr)
-                counters.mem_inst += 1
-                counters.store_inst += 1
-                kinds |= 2
-            elif t is AtomicCAS:
-                old = int(data[op.addr])
-                if old == op.expected:
-                    data[op.addr] = op.desired
-                else:
-                    atomic_conflicts += 1
-                lane.send_value = old
-                counters.atomic_inst += 1
-                counters.atomic_transactions += 1
-                transactions += 1
-                kinds |= 4
-            elif t is AtomicAdd:
-                old = int(data[op.addr])
-                data[op.addr] = old + op.delta
-                lane.send_value = old
-                counters.atomic_inst += 1
-                counters.atomic_transactions += 1
-                transactions += 1
-                kinds |= 4
-            elif t is AtomicExch:
-                old = int(data[op.addr])
-                data[op.addr] = op.value
-                lane.send_value = old
-                counters.atomic_inst += 1
-                counters.atomic_transactions += 1
-                transactions += 1
-                kinds |= 4
-            elif t is Mark:
-                counters.finish_cycle[op.request_id] = cycle
-                counters.service_steps[op.request_id] = lane.steps - lane.mark_base
-                lane.mark_base = lane.steps
-                kinds |= 32
-            elif t is Noop or t is WaitGE:
-                # barrier wait: costs nothing (predicated-off lane) and does
-                # not count toward the lane's per-request service time
-                lane.steps -= 1
-            else:
-                raise SimulationError(f"unknown op {op!r}")
-            if probe is not None:
-                probe.observe(
-                    self.warp_id, lane_idx, op, lane.send_value, lane.gen
-                )
-
-        if load_addrs:
-            transactions += self._segments(load_addrs)
-        if store_addrs:
-            transactions += self._segments(store_addrs)
-        issue_slots = bin(kinds).count("1")
-        if issue_slots > 1:
-            counters.divergent_slots += issue_slots - 1
-        counters.issued_slots += issue_slots
-        counters.transactions += transactions
-        counters.atomic_conflicts += atomic_conflicts
-        if not any_active:
-            self.active = False
-        return issue_slots, transactions, atomic_conflicts
-
-    # ------------------------------------------------------------------ #
-    # fast interpreter (identical observable behaviour)
-    # ------------------------------------------------------------------ #
-    def _step_fast(self, counters: KernelCounters, cycle: float) -> tuple[int, int, int]:
         data = self.arena.data
         item = data.item
         size = data.size
         wps = self.words_per_segment
         groups = self._groups
-        if self._live_stale:
-            # the reference path ran in between (probe attached): dissolve
-            # all parking state — woken lanes just re-yield their WaitGE,
-            # which charges nothing, so spurious wakes are free
-            for ln in self.lanes:
-                ln.wait = None
-            groups.clear()
-            self._hot = []
-            self._awake = [ln for ln in self.lanes if ln.active]
-            self._live_stale = False
+        probe = self.probe
+        if probe is not None:
+            probe.begin_slot(self.warp_id)
         awake = self._awake
         wake_next: list[Lane] = []
         if groups:
@@ -406,6 +271,8 @@ class Warp:
                         ]
             else:
                 raise SimulationError(f"unknown op {op!r}")
+            if probe is not None:
+                probe.observe(self.warp_id, lane.pos, op, lane.send_value, lane.gen)
             if hot:
                 # a barrier one arrival away may have been opened by the
                 # lane we just ran: wake its followers at their turn
@@ -454,10 +321,10 @@ class Warp:
         """Wake every parked group whose barrier condition now holds.
 
         Lanes positioned after ``pos`` rejoin *this* slot — spliced into the
-        remaining iteration in lane order — because the reference path would
-        visit them later in the same slot and see the condition satisfied.
-        Lanes at or before ``pos`` were already passed over this slot and
-        rejoin at the next one, again matching the reference schedule.
+        remaining iteration in lane order — because a lockstep slot visits
+        them after the opener, when the condition already holds. Lanes at or
+        before ``pos`` were already passed over this slot and rejoin at the
+        next one, exactly as a loop resuming every lane each slot would.
         """
         groups = self._groups
         still: list[list] = []
@@ -482,9 +349,22 @@ class Warp:
             tail.sort(key=_lane_pos)
             awake[i:] = tail
 
-    def _segments(self, addrs: list[int]) -> int:
-        wps = self.words_per_segment
-        return len({a // wps for a in addrs})
+    def stalled(self) -> bool:
+        """No lane can run: every live lane is parked on a closed barrier.
+
+        Only a running lane can advance a barrier sequence, so a stalled
+        warp stays stalled unless a lane of another warp opens its barrier.
+        """
+        return not self._awake and not any(g[0][g[1]] >= g[2] for g in self._groups)
+
+    def describe_parked(self) -> str:
+        """The parked lanes and barrier conditions of this warp, for errors."""
+        waits = [
+            f"lanes {[ln.pos for ln in g[3]]} wait on WaitGE(idx={g[1]}, "
+            f"target={g[2]}) with seq[{g[1]}]={g[0][g[1]]}"
+            for g in self._groups
+        ]
+        return f"warp {self.warp_id}: " + ", ".join(waits)
 
     def results(self) -> list[object]:
         """Return values of all lane programs (after the warp retired)."""
@@ -492,35 +372,19 @@ class Warp:
 
 
 def run_subroutine(gen: Generator, arena: MemoryArena) -> object:
-    """Drive a single thread program to completion outside any warp.
+    """Drive a single thread program to completion as a one-lane warp.
 
-    Debug/teaching helper (and unit-test harness): executes the program's
-    memory ops directly, returns its return value. No counters are charged.
+    Debug/teaching helper (and unit-test harness): returns the program's
+    return value; its memory ops act on ``arena`` exactly as in a launch.
+    The counters it charges are discarded.
     """
-    data = arena.data
-    send: int | None = None
-    while True:
-        try:
-            op = gen.send(send)
-        except StopIteration as stop:
-            return stop.value
-        send = None
-        t = type(op)
-        if t is Load:
-            send = int(data[op.addr])
-        elif t is Store:
-            data[op.addr] = op.value
-        elif t is AtomicCAS:
-            old = int(data[op.addr])
-            if old == op.expected:
-                data[op.addr] = op.desired
-            send = old
-        elif t is AtomicAdd:
-            old = int(data[op.addr])
-            data[op.addr] = old + op.delta
-            send = old
-        elif t is AtomicExch:
-            old = int(data[op.addr])
-            data[op.addr] = op.value
-            send = old
-        # Alu / Branch / Mark / Noop / WaitGE: no data effect
+    warp = Warp([gen], arena)
+    counters = KernelCounters(n_requests=0)
+    # no request space to index: Mark records land in throwaway dicts
+    counters.finish_cycle = {}
+    counters.service_steps = {}
+    while warp.active:
+        warp.step(counters, 0.0)
+        if warp.active and warp.stalled():
+            raise SimulationError(f"barrier deadlock: {warp.describe_parked()}")
+    return warp.lanes[0].result

@@ -1,19 +1,21 @@
-"""Equivalence tests for the vectorized warp interpreter and its satellites.
+"""Equivalence tests for the SIMT interpreter and its satellites.
 
-The :class:`~repro.config.ExecutionConfig` contract says its setting is
-observationally neutral: counters, lane results, arena contents and QoS
-arrays are bit-for-bit identical on the reference path
-(``vectorize_slots=False``) and the fast path. These tests enforce that on
+:meth:`~repro.simt.Warp.step` is the one interpreter. The test oracle
+``tests/reference_interp.py`` is the original slot loop, which resumes every
+lane each slot; each test installs it with ``monkeypatch``. Counters, lane
+results, arena contents, QoS arrays and probe output must be bit-for-bit
+identical under both, on
 
 * seeded random warp programs (loads/stores/atomics/ALU/branches/marks,
   divergent lengths, early retirees),
 * iteration-warp style ``WaitGE`` barriers with uneven arrival (the only
-  construct the fast path *parks* on),
+  construct the interpreter *parks* on),
 * whole-system batches for every system kind, including host mutation
   mid-kernel (Eirene splits),
+* the race sanitizer and hotspot profiler on every system (attaching a
+  probe must not change what is observed).
 
-plus the probe fallback rule (an attached probe must see every op, i.e.
-the reference path runs), the ``REPRO_SLOW_PATH=1`` escape hatch, the
+Also covered: the barrier-deadlock watchdog, the
 :class:`~repro.sharding.ParallelShardedSystem` worker-count invariance and
 failure handling, and the arena's lazy label accounting.
 
@@ -29,7 +31,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.config import DeviceConfig, ExecutionConfig, execution_config, set_execution_config
+from repro.config import DeviceConfig
 from repro.memory import MemoryArena
 from repro.errors import SimulationError
 from repro.sharding import ParallelShardedSystem
@@ -37,7 +39,6 @@ from repro.simt import (
     Alu,
     AtomicAdd,
     AtomicCAS,
-    AtomicExch,
     Branch,
     KernelLaunch,
     Load,
@@ -45,16 +46,10 @@ from repro.simt import (
     Noop,
     Store,
     WaitGE,
+    Warp,
 )
-
-SEQUENTIAL = ExecutionConfig(vectorize_slots=False)
-
-
-@pytest.fixture(autouse=True)
-def _restore_execution():
-    previous = execution_config()
-    yield
-    set_execution_config(previous)
+from repro.simt.warp import run_subroutine
+from tests.reference_interp import reference_step
 
 
 def deep_eq(a, b) -> bool:
@@ -114,34 +109,33 @@ def random_program(rng: np.random.Generator, lane: int, n_lanes: int):
     return prog()
 
 
-def run_warp(programs_fn, execution: ExecutionConfig, n_lanes: int = 8, probe=None):
+def run_warp(programs_fn, n_lanes: int = 8, probe=None):
     """Run one warp of fresh programs; return (counters, results, memory)."""
     arena = MemoryArena(DATA_WORDS + HOT_WORDS + 16)
     arena.data[:DATA_WORDS] = np.arange(DATA_WORDS)
     device = DeviceConfig(num_sms=2)
-    launch = KernelLaunch(
-        device, arena, n_lanes, probe=probe, execution=execution
-    )
+    launch = KernelLaunch(device, arena, n_lanes, probe=probe)
     launch.add_warp(programs_fn(n_lanes))
     counters = launch.run()
     return counters, launch.lane_results(), arena.data.copy()
 
 
-def assert_equivalent(programs_fn, fast: ExecutionConfig, n_lanes: int = 8):
-    ref = run_warp(programs_fn, SEQUENTIAL, n_lanes)
-    opt = run_warp(programs_fn, fast, n_lanes)
+def assert_equivalent(programs_fn, monkeypatch, n_lanes: int = 8):
+    opt = run_warp(programs_fn, n_lanes)
+    monkeypatch.setattr(Warp, "step", reference_step)
+    ref = run_warp(programs_fn, n_lanes)
     assert deep_eq(ref[0], opt[0]), "KernelCounters diverged"
     assert ref[1] == opt[1], "lane results diverged"
     assert np.array_equal(ref[2], opt[2]), "arena contents diverged"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_random_programs_equivalent(seed):
+def test_random_programs_equivalent(seed, monkeypatch):
     def make(n_lanes):
         rng = np.random.default_rng((777, seed))
         return [random_program(rng, i, n_lanes) for i in range(n_lanes)]
 
-    assert_equivalent(make, ExecutionConfig())
+    assert_equivalent(make, monkeypatch)
 
 
 # --------------------------------------------------------------------- #
@@ -172,18 +166,138 @@ def barrier_programs(n_lanes: int, n_iters: int = 4):
     return [prog(i) for i in range(n_lanes)]
 
 
-def test_barrier_programs_equivalent():
-    assert_equivalent(barrier_programs, ExecutionConfig())
+def test_barrier_programs_equivalent(monkeypatch):
+    assert_equivalent(barrier_programs, monkeypatch)
+
+
+def run_warps(warps, probe=None):
+    """Launch one warp per program list; return the lane results."""
+    launch = KernelLaunch(DeviceConfig(num_sms=1), MemoryArena(16), 2, probe=probe)
+    for programs in warps:
+        launch.add_warp(programs)
+    launch.run()
+    return launch.lane_results()
+
+
+def never_opening_barrier(n_lanes: int):
+    """Every lane arrives, then waits for more arrivals than there are lanes."""
+    seq = [0]
+
+    def prog():
+        seq[0] += 1
+        while seq[0] < 5:
+            yield WaitGE(seq, 0, 5)
+
+    return [prog() for _ in range(n_lanes)]
+
+
+def test_barrier_deadlock_raises():
+    with pytest.raises(SimulationError) as exc:
+        run_warps([never_opening_barrier(2)])
+    msg = str(exc.value)
+    assert "barrier deadlock" in msg
+    assert "warp 0: lanes [0, 1] wait on WaitGE(idx=0, target=5) with seq[0]=2" in msg
+    with pytest.raises(SimulationError, match="barrier deadlock: warp 0: lanes"):
+        run_subroutine(never_opening_barrier(1)[0], MemoryArena(16))
+
+
+def cross_warp_barrier():
+    """Two one-lane warps: the first parks until the second opens its
+    barrier a few slots later, so warp 0 spends whole slots fully parked."""
+    seq = [0]
+
+    def waiter():
+        while seq[0] < 1:
+            yield WaitGE(seq, 0, 1)
+        return "woken"
+
+    def opener():
+        for _ in range(3):
+            yield Alu()
+        seq[0] += 1
+        yield Alu()
+        return "opened"
+
+    return [[waiter()], [opener()]]
+
+
+def test_barrier_opened_by_another_warp_is_not_a_deadlock():
+    """A fully parked warp is fine while another warp can still open it."""
+    assert run_warps(cross_warp_barrier()) == ["woken", "opened"]
 
 
 # --------------------------------------------------------------------- #
-# probe fallback + escape hatch
+# whole-system equivalence (host mutation mid-kernel included)
 # --------------------------------------------------------------------- #
-class CountingProbe:
-    """Minimal probe: counts ops; its presence must force the reference path."""
+def _run_system_batches(system: str):
+    from repro import YcsbWorkload, build_key_pool, make_system
+    from repro.workloads import YCSB_A
+
+    rng = np.random.default_rng(42)
+    keys, values = build_key_pool(2**10, rng)
+    sys_ = make_system(system, keys, values, seed=5)
+    wl = YcsbWorkload(pool=keys, mix=YCSB_A)
+    outs = [
+        sys_.process_batch(wl.generate(2**9, rng), engine="simt")
+        for _ in range(2)
+    ]
+    return outs, sys_.tree.items()
+
+
+@pytest.mark.parametrize("system", ["nocc", "stm", "lock", "eirene"])
+def test_system_batches_equivalent(system, monkeypatch):
+    fast_outs, fast_items = _run_system_batches(system)
+    monkeypatch.setattr(Warp, "step", reference_step)
+    ref_outs, ref_items = _run_system_batches(system)
+    assert deep_eq(ref_outs, fast_outs)
+    assert np.array_equal(ref_items[0], fast_items[0])
+    assert np.array_equal(ref_items[1], fast_items[1])
+
+
+# --------------------------------------------------------------------- #
+# probes: observing must not change what is observed
+# --------------------------------------------------------------------- #
+def _probe_reports(system: str):
+    """Race reports (as strings) and hotspot report of one system under the
+    ``sanitize`` target's config."""
+    from repro import YcsbWorkload, build_key_pool, make_system
+    from repro.analysis import attach_hotspots, attach_sanitizer
+    from repro.harness.sanitize import default_sanitize_config
+
+    cfg = default_sanitize_config()
+    rng = np.random.default_rng(cfg.seed)
+    keys, values = build_key_pool(cfg.tree_size, rng)
+    sys_ = make_system(
+        system, keys, values,
+        tree_config=cfg.tree_config,
+        device=cfg.device,
+        fill_factor=cfg.fill_factor,
+    )
+    san = attach_sanitizer(sys_)
+    hot = attach_hotspots(sys_)
+    wl = YcsbWorkload(pool=keys, mix=cfg.mix, distribution=cfg.distribution)
+    for _ in range(cfg.n_batches):
+        sys_.process_batch(wl.generate(cfg.batch_size, rng), engine="simt")
+    return [str(r) for r in san.reports], hot.report().to_dict()
+
+
+@pytest.mark.parametrize("system", ["nocc", "stm", "lock", "eirene"])
+def test_probe_reports_match_oracle(system, monkeypatch):
+    races, hotspots = _probe_reports(system)
+    monkeypatch.setattr(Warp, "step", reference_step)
+    ref_races, ref_hotspots = _probe_reports(system)
+    assert races == ref_races
+    assert hotspots == ref_hotspots
+    assert hotspots["slots"] > 0
+    if system == "nocc":
+        assert races, "NoCC must race under YCSB-A"
+
+
+class RecordingProbe:
+    """Records every hook call: the full stream a probe observes."""
 
     def __init__(self) -> None:
-        self.ops = 0
+        self.events: list[tuple] = []
 
     def begin_launch(self) -> None:
         pass
@@ -192,68 +306,42 @@ class CountingProbe:
         pass
 
     def begin_slot(self, warp_id) -> None:
-        pass
+        self.events.append(("slot", warp_id))
 
     def observe(self, warp_id, lane, op, value, gen) -> None:
-        self.ops += 1
+        self.events.append((warp_id, lane, type(op).__name__, value))
 
 
-def test_probe_forces_reference_path():
+@pytest.mark.parametrize("seed", [0, 1])
+def test_probe_stream_matches_oracle(seed, monkeypatch):
     def make(n_lanes):
-        rng = np.random.default_rng((999, 0))
+        rng = np.random.default_rng((999, seed))
         return [random_program(rng, i, n_lanes) for i in range(n_lanes)]
 
-    ref = run_warp(make, SEQUENTIAL)
-    probe = CountingProbe()
-    # fast flags on, but the attached probe must win
-    opt = run_warp(make, ExecutionConfig(), probe=probe)
-    assert probe.ops > 0, "probe saw no ops: fast path ran despite the probe"
-    assert deep_eq(ref[0], opt[0])
-    assert ref[1] == opt[1]
+    probe = RecordingProbe()
+    run_warp(make, probe=probe)
+    monkeypatch.setattr(Warp, "step", reference_step)
+    ref = RecordingProbe()
+    run_warp(make, probe=ref)
+    assert len(probe.events) > 100
+    assert probe.events == ref.events
 
 
-def test_repro_slow_path_env_wins(monkeypatch):
-    monkeypatch.setenv("REPRO_SLOW_PATH", "1")
-    set_execution_config(None)  # re-read the environment
-    assert not execution_config().vectorize_slots
-    # programmatic overrides cannot re-enable the fast path
-    set_execution_config(ExecutionConfig(vectorize_slots=True))
-    assert not execution_config().vectorize_slots
-    monkeypatch.delenv("REPRO_SLOW_PATH")
-    set_execution_config(None)
-    assert execution_config().vectorize_slots
+def test_probe_slots_of_parked_warps_match_oracle(monkeypatch):
+    """``begin_slot`` fires for every step, fully parked warps included.
 
+    Only the slot stream is compared: the oracle re-yields a parked
+    lane's ``WaitGE`` every slot, while the interpreter skips the lane.
+    """
 
-# --------------------------------------------------------------------- #
-# whole-system equivalence (host mutation mid-kernel included)
-# --------------------------------------------------------------------- #
-def _run_system_batches(system: str, execution: ExecutionConfig):
-    from repro import YcsbWorkload, build_key_pool, make_system
-    from repro.workloads import YCSB_A
+    def slots(probe):
+        run_warps(cross_warp_barrier(), probe)
+        return [e for e in probe.events if e[0] == "slot"]
 
-    previous = set_execution_config(execution)
-    try:
-        rng = np.random.default_rng(42)
-        keys, values = build_key_pool(2**10, rng)
-        sys_ = make_system(system, keys, values, seed=5)
-        wl = YcsbWorkload(pool=keys, mix=YCSB_A)
-        outs = [
-            sys_.process_batch(wl.generate(2**9, rng), engine="simt")
-            for _ in range(2)
-        ]
-        items = sys_.tree.items()
-    finally:
-        set_execution_config(previous)
-    return outs, items
-
-
-@pytest.mark.parametrize("system", ["nocc", "stm", "lock", "eirene"])
-def test_system_batches_equivalent(system):
-    ref_outs, ref_items = _run_system_batches(system, SEQUENTIAL)
-    fast_outs, fast_items = _run_system_batches(system, ExecutionConfig())
-    assert deep_eq(ref_outs, fast_outs)
-    assert np.array_equal(ref_items[0], fast_items[0])
-    assert np.array_equal(ref_items[1], fast_items[1])
+    got = slots(RecordingProbe())
+    monkeypatch.setattr(Warp, "step", reference_step)
+    assert got == slots(RecordingProbe())
+    assert got.count(("slot", 0)) >= 4
 
 
 # --------------------------------------------------------------------- #

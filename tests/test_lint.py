@@ -69,6 +69,15 @@ def test_r4_missing_branch():
     assert all("d_branch_satisfies_rule" not in f.func for f in findings)
 
 
+def test_r5_wait_without_recheck():
+    findings = lint_file(FIXTURES / "bad_wait_without_recheck.py")
+    assert rules_in(findings) == ["R5-wait-recheck"] * 3
+    assert [f.func for f in findings] == [
+        "d_wait_once", "d_wait_under_if", "d_wait_in_for"
+    ]
+    assert all("while" in f.message for f in findings)
+
+
 # --------------------------------------------------------------------- #
 # rule boundaries (source-level cases)
 # --------------------------------------------------------------------- #
