@@ -211,36 +211,6 @@ class System(abc.ABC):
         seed = int(np.bitwise_xor.reduce(head) % (2**63 - 1)) + batch.n
         return np.random.default_rng(seed)
 
-    def _apply_in_timestamp_order(self, batch: RequestBatch) -> BatchResults:
-        """Functionally execute the batch against the tree in arrival order.
-
-        This is the vector engine's state-evolution path: mutations land in
-        the tree (splits included, so structural statistics stay honest) and
-        the returned results follow arrival order. The *scheduling-induced*
-        result deviations of the baselines only materialize in the SIMT
-        engine, which genuinely interleaves requests.
-        """
-        from .._types import NULL_VALUE, OpKind
-
-        results = BatchResults.empty(batch.n)
-        ranges: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        tree = self.tree
-        for i in range(batch.n):
-            kind = batch.kinds[i]
-            key = int(batch.keys[i])
-            if kind == OpKind.QUERY:
-                results.values[i] = tree.search(key)
-            elif kind in (OpKind.UPDATE, OpKind.INSERT):
-                results.values[i] = tree.upsert(key, int(batch.values[i]))
-            elif kind == OpKind.DELETE:
-                results.values[i] = tree.delete(key)
-            elif kind == OpKind.RANGE:
-                ranges[i] = tree.range_scan(key, int(batch.range_ends[i]))
-            else:  # pragma: no cover
-                results.values[i] = NULL_VALUE
-        results.set_range_results(ranges)
-        return results
-
     def reference_for_tree(self) -> SequentialReference:
         """Sequential reference seeded with the tree's current contents."""
         keys, values = self.tree.items()

@@ -50,6 +50,7 @@ from ..baselines.model import (
     writer_collision_groups,
 )
 from ..workloads.requests import RequestBatch
+from .apply import apply_in_order
 from .combining import CombinePlan, combine_point_requests, propagate_results
 from .kernels import (
     LaneSlot,
@@ -238,7 +239,7 @@ class VectorUpdateKernelPass(Pass):
             ctx.art["u_steps_avg"] = float(u_steps.mean())
 
         splits_before = len(ctx.tree.split_events)
-        u_old = ctx.system._apply_issued_updates(plan, u_runs)
+        u_old = ctx.system._apply_issued_updates(ctx.batch, plan, u_runs)
         splits = len(ctx.tree.split_events) - splits_before
         u_totals.add(im.split_smo, count=splits, coalesce=COALESCE_SORTED)
         ctx.phase.update_kernel = phase_seconds(u_totals, ctx.device)
@@ -310,7 +311,7 @@ class VectorUnifiedKernelPass(Pass):
             ctx.art["q_steps_avg"] = float(q_steps.mean())
 
         splits_before = len(tree.split_events)
-        u_old = ctx.system._apply_issued_updates(plan, u_runs)
+        u_old = ctx.system._apply_issued_updates(ctx.batch, plan, u_runs)
         splits = len(tree.split_events) - splits_before
         totals.add(im.split_smo, count=splits, coalesce=COALESCE_SORTED)
         ctx.art["old_vals"][u_runs] = u_old
@@ -680,19 +681,12 @@ class EireneTree(System):
             span_total += max(1, len(ks) // max(self.imodel.fanout // 2, 1) + 1)
         return raw, span_total
 
-    def _apply_issued_updates(self, plan: CombinePlan, u_runs: np.ndarray) -> np.ndarray:
+    def _apply_issued_updates(
+        self, batch: RequestBatch, plan: CombinePlan, u_runs: np.ndarray
+    ) -> np.ndarray:
         """Apply issued update-class requests (unique keys) host-side in
         run order; returns their old values."""
-        old = np.full(u_runs.size, NULL_VALUE, dtype=np.int64)
-        tree = self.tree
-        for j, r in enumerate(u_runs):
-            kind = int(plan.issued_kinds[r])
-            key = int(plan.issued_keys[r])
-            if kind == OpKind.DELETE:
-                old[j] = tree.delete(key)
-            else:
-                old[j] = tree.upsert(key, int(plan.issued_values[r]))
-        return old
+        return apply_in_order(self.tree, batch, plan.issued_orig[u_runs])[0]
 
     # ------------------------------------------------------------------ #
     # SIMT program builders

@@ -39,6 +39,7 @@ from ..errors import ConfigError, SimulationError
 from ..metrics.trace import PassRecord, PipelineTrace
 from ..simt import PhaseTime
 from ..workloads.requests import BatchResults, RequestBatch
+from .apply import apply_batch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (base imports us lazily)
     from ..baselines.base import BatchOutcome, System
@@ -219,8 +220,11 @@ def eirene_pass_plan(config, engine: str) -> tuple[str, ...]:
 # shared passes (used by every system's pipeline)
 # --------------------------------------------------------------------- #
 class HostApplyPass(Pass):
-    """Vector-engine state evolution: execute the batch against the tree in
-    timestamp order and charge the split SMOs it performed.
+    """Vector-engine state evolution: leave the tree and results exactly as
+    a timestamp-order execution of the batch would
+    (:func:`~repro.core.apply.apply_batch` — point results from the
+    combining plan, one host tree call per non-query request) and charge
+    the split SMOs it performed.
 
     ``split_cost_factor`` scales the SMO instruction bundle to the
     system's split mechanism (plain rewrite, latched, ownership storm).
@@ -235,7 +239,7 @@ class HostApplyPass(Pass):
     def run(self, ctx: PipelineContext) -> None:
         tree = ctx.tree
         before = len(tree.split_events)
-        ctx.results = ctx.system._apply_in_timestamp_order(ctx.batch)
+        ctx.results = apply_batch(tree, ctx.batch)
         splits = len(tree.split_events) - before
         ctx.totals.add(ctx.imodel.split_smo * self.split_cost_factor, count=splits)
         ctx.roofline_phase(self.bucket)

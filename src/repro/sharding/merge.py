@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._types import OpKind
 from ..baselines.base import BatchOutcome
 from ..errors import SimulationError
 from ..metrics.qos import ShardQoS, response_time_stats
@@ -47,17 +48,18 @@ def merge_shard_outcomes(
     results = BatchResults.empty(batch.n)
     response = np.zeros(batch.n, dtype=np.float64)
     ranges: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+    is_range = batch.kinds == OpKind.RANGE
     for r, o in live:
         # point results scatter 1:1; a split range visits several shards, so
         # response time keeps the worst piece and pieces accumulate below
         results.values[r.origin] = o.results.values
         np.maximum.at(response, r.origin, o.response_time_s)
-        for j, i in enumerate(r.origin):
-            lo, hi = int(o.results.range_offsets[j]), int(o.results.range_offsets[j + 1])
-            if hi > lo or _is_range(batch, int(i)):
-                ks, vs = ranges.setdefault(int(i), ([], []))
-                ks.append(o.results.range_keys[lo:hi])
-                vs.append(o.results.range_values[lo:hi])
+        offs = o.results.range_offsets
+        for j in np.flatnonzero((offs[1:] > offs[:-1]) | is_range[r.origin]).tolist():
+            lo, hi = int(offs[j]), int(offs[j + 1])
+            ks, vs = ranges.setdefault(int(r.origin[j]), ([], []))
+            ks.append(o.results.range_keys[lo:hi])
+            vs.append(o.results.range_values[lo:hi])
     results.set_range_results(
         {
             i: (np.concatenate(ks), np.concatenate(vs))
@@ -103,9 +105,3 @@ def merge_shard_outcomes(
         },
     )
     return out
-
-
-def _is_range(batch: RequestBatch, i: int) -> bool:
-    from .._types import OpKind
-
-    return batch.kinds[i] == OpKind.RANGE

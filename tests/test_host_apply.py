@@ -1,0 +1,170 @@
+"""The vector engine's batched apply against the per-request oracle.
+
+:func:`repro.core.apply.apply_batch` computes point results from the
+combining plan and calls the host tree once for every non-query request,
+in timestamp order. It must leave exactly
+what the per-request loop (``tests/apply_oracle.py``) leaves: results,
+range results, every arena word, ``split_events``, root and height.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro import MAX_KEY, NULL_VALUE, OpKind, TreeConfig, make_system
+from repro.btree import BPlusTree
+from repro.core.apply import apply_batch
+from repro.core.eirene import EireneTree
+from repro.errors import TreeError
+from repro.workloads.requests import RequestBatch
+from tests.apply_oracle import apply_in_timestamp_order, apply_issued_updates
+
+KEY_SPACE = 240
+KIND_P = {
+    OpKind.QUERY: 0.3,
+    OpKind.UPDATE: 0.2,
+    OpKind.INSERT: 0.2,
+    OpKind.DELETE: 0.2,
+    OpKind.RANGE: 0.1,
+}
+
+
+def _batch(kinds, keys, values=None, ends=None) -> RequestBatch:
+    n = len(kinds)
+    zeros = np.zeros(n, dtype=np.int64)
+    return RequestBatch(
+        kinds=np.asarray(kinds),
+        keys=np.asarray(keys, dtype=np.int64),
+        values=zeros if values is None else np.asarray(values, dtype=np.int64),
+        range_ends=zeros if ends is None else np.asarray(ends, dtype=np.int64),
+    )
+
+
+def random_batch(rng: np.random.Generator, n: int) -> RequestBatch:
+    """Mixed batch over a small key space: duplicate keys, deletes of absent
+    keys, ranges between writes, stored value -1, and one forced
+    insert -> delete -> insert chain on a single key."""
+    kinds = rng.choice(list(KIND_P), size=n, p=list(KIND_P.values())).astype(np.int8)
+    keys = rng.integers(0, KEY_SPACE, size=n)
+    values = np.where(rng.random(n) < 0.2, NULL_VALUE, rng.integers(0, 1000, size=n))
+    ends = np.where(kinds == OpKind.RANGE, keys + rng.integers(0, 40, size=n), 0)
+    values = np.where((kinds == OpKind.UPDATE) | (kinds == OpKind.INSERT), values, 0)
+    chain = np.sort(rng.choice(n, size=3, replace=False))
+    kinds[chain] = (OpKind.INSERT, OpKind.DELETE, OpKind.INSERT)
+    keys[chain] = rng.integers(0, KEY_SPACE)
+    values[chain] = (NULL_VALUE, 0, 7)
+    ends[chain] = 0
+    return _batch(kinds, keys, values, ends)
+
+
+def _tree(fanout: int) -> BPlusTree:
+    keys = np.arange(0, KEY_SPACE, 4, dtype=np.int64)
+    values = np.where(keys % 12 == 0, NULL_VALUE, keys * 10)
+    return BPlusTree.build(keys, values, TreeConfig(fanout=fanout, arena_headroom=8.0))
+
+
+def assert_same_outcome(tree, oracle_tree, got, want) -> None:
+    np.testing.assert_array_equal(got.values, want.values)
+    np.testing.assert_array_equal(got.range_offsets, want.range_offsets)
+    np.testing.assert_array_equal(got.range_keys, want.range_keys)
+    np.testing.assert_array_equal(got.range_values, want.range_values)
+    np.testing.assert_array_equal(tree.arena.data, oracle_tree.arena.data)
+    assert tree.split_events == oracle_tree.split_events
+    assert (tree.root, tree.height, tree.node_count) == (
+        oracle_tree.root, oracle_tree.height, oracle_tree.node_count
+    )
+
+
+@pytest.mark.parametrize("fanout", [4, 8, 32])
+@pytest.mark.parametrize("seed", range(6))
+def test_apply_batch_matches_oracle(fanout, seed):
+    rng = np.random.default_rng(seed)
+    tree, oracle_tree = _tree(fanout), _tree(fanout)
+    height0 = tree.height
+    for _ in range(6):
+        batch = random_batch(rng, int(rng.integers(3, 120)))
+        got = apply_batch(tree, batch)
+        want = apply_in_timestamp_order(oracle_tree, batch)
+        assert_same_outcome(tree, oracle_tree, got, want)
+    tree.validate()
+    if fanout == 4:
+        assert tree.height > height0  # splits reached the root
+
+
+def test_range_sees_writes_before_it_only():
+    tree, oracle_tree = _tree(8), _tree(8)
+    batch = _batch(
+        [OpKind.UPDATE, OpKind.UPDATE, OpKind.RANGE, OpKind.UPDATE, OpKind.INSERT, OpKind.RANGE],
+        [8, 8, 0, 8, 9, 0],
+        values=[1, 2, 0, 3, 4, 0],
+        ends=[0, 0, 20, 0, 0, 20],
+    )
+    got = apply_batch(tree, batch)
+    assert_same_outcome(tree, oracle_tree, got, apply_in_timestamp_order(oracle_tree, batch))
+    ks, vs = got.range_result(2)
+    assert dict(zip(ks.tolist(), vs.tolist()))[8] == 2
+    ks, vs = got.range_result(5)
+    assert dict(zip(ks.tolist(), vs.tolist()))[9] == 4
+
+
+def test_queries_make_no_tree_call(monkeypatch):
+    """Point results come from the combining plan; every other request
+    makes one host tree call."""
+    tree = _tree(8)
+    calls = []
+    for op in ("search", "upsert", "delete", "range_scan"):
+        orig = getattr(BPlusTree, op)
+        monkeypatch.setattr(
+            BPlusTree, op, lambda self, *a, _op=op, _f=orig: calls.append(_op) or _f(self, *a)
+        )
+    batch = _batch(
+        [OpKind.QUERY, OpKind.UPDATE, OpKind.UPDATE, OpKind.QUERY, OpKind.DELETE, OpKind.RANGE],
+        [8, 8, 8, 16, 9, 0],
+        values=[0, 1, 2, 0, 0, 0],
+        ends=[0, 0, 0, 0, 0, 20],
+    )
+    apply_batch(tree, batch)
+    assert calls == ["upsert", "upsert", "delete", "range_scan"]
+
+
+@pytest.mark.parametrize("variant", ["eirene", "eirene-no-partition"])
+@pytest.mark.parametrize("fanout", [4, 32])
+def test_eirene_issued_updates_match_oracle(monkeypatch, variant, fanout):
+    keys = np.arange(0, KEY_SPACE, 4, dtype=np.int64)
+    values = keys * 10
+    cfg = TreeConfig(fanout=fanout, arena_headroom=8.0)
+    system = make_system(variant, keys, values, tree_config=cfg)
+    oracle = make_system(variant, keys, values, tree_config=cfg)
+    rng = np.random.default_rng(fanout)
+    batches = [random_batch(rng, int(rng.integers(3, 120))) for _ in range(6)]
+    got = [system.process_batch(b).results for b in batches]
+    monkeypatch.setattr(EireneTree, "_apply_issued_updates", apply_issued_updates)
+    for b, res in zip(batches, got):
+        want = oracle.process_batch(b).results
+        np.testing.assert_array_equal(res.values, want.values)
+        np.testing.assert_array_equal(res.range_keys, want.range_keys)
+        np.testing.assert_array_equal(res.range_values, want.range_values)
+    assert_same_outcome(system.tree, oracle.tree, got[-1], want)
+
+
+BAD_KEY_BATCHES = {
+    # the bad insert comes after two writes that would land first
+    "last": ([OpKind.UPDATE, OpKind.INSERT, OpKind.INSERT], [8, 15, MAX_KEY + 1], [777, 1, 2]),
+    # the bad insert is superseded by a delete of the same key
+    "superseded": ([OpKind.INSERT, OpKind.DELETE], [MAX_KEY + 1, MAX_KEY + 1], [5, 0]),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_KEY_BATCHES))
+@pytest.mark.parametrize("name", ["nocc", "stm", "lock", "eirene"])
+def test_bad_key_leaves_no_half_applied_batch(name, case):
+    keys = np.arange(0, KEY_SPACE, 4, dtype=np.int64)
+    system = make_system(name, keys, keys * 10, tree_config=TreeConfig(fanout=8))
+    before = system.tree.items()
+    kinds, bad_keys, values = BAD_KEY_BATCHES[case]
+    with pytest.raises(TreeError, match="out of range"):
+        system.process_batch(_batch(kinds, bad_keys, values), engine="vector")
+    after = system.tree.items()
+    np.testing.assert_array_equal(after[0], before[0])
+    np.testing.assert_array_equal(after[1], before[1])
