@@ -40,7 +40,7 @@ from .errors import (
     TreeError,
     WorkloadError,
 )
-from .factory import build_device_tree, build_tree, make_system
+from .factory import build_device_tree, make_system
 from .lincheck import SequentialReference, check_linearizable
 from .memory import MemoryArena
 from .metrics import ResponseTimeStats, ShardQoS, ThroughputResult, response_time_stats
@@ -101,7 +101,6 @@ __all__ = [
     "YcsbWorkload",
     "build_device_tree",
     "build_key_pool",
-    "build_tree",
     "check_linearizable",
     "make_system",
     "merge_outcomes",

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import DeviceConfig
 from ..device import DeviceContext
 from ..errors import ConfigError
 from ..lincheck import SequentialReference
@@ -162,19 +161,9 @@ class System(abc.ABC):
 
     name: str = "abstract"
 
-    def __init__(
-        self,
-        tree: BPlusTree,
-        device: DeviceConfig | None = None,
-        devctx: DeviceContext | None = None,
-    ) -> None:
-        if devctx is None:
-            # legacy construction path: wrap the tree's arena in a context
-            devctx = DeviceContext.adopt(tree.arena, device)
-        elif devctx.arena is not tree.arena:
+    def __init__(self, tree: BPlusTree, devctx: DeviceContext) -> None:
+        if devctx.arena is not tree.arena:
             raise ConfigError("devctx must own the arena the tree lives in")
-        elif device is not None and device != devctx.device:
-            raise ConfigError("device config disagrees with devctx.device")
         self.devctx = devctx
         self.tree = tree
         self.device = devctx.device
@@ -183,6 +172,7 @@ class System(abc.ABC):
     def process_batch(self, batch: RequestBatch, engine: str = "vector") -> BatchOutcome:
         """Process one buffered batch through the pass pipeline; mutates the
         tree. The returned outcome carries a per-pass ``trace``."""
+        batch.check_point_keys()
         if engine not in ("vector", "simt"):
             raise ConfigError(f"unknown engine {engine!r}; use 'vector' or 'simt'")
         # local import: core.pipeline is a downstream module (the concrete

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._types import OpKind, is_update_kind_array
-from ..btree import batch_find_leaf
+from .._types import OpKind
 from ..btree.device_ops import (
     d_find_leaf_coupling,
     d_find_leaf_locked_query,
@@ -29,7 +28,7 @@ from ..btree.device_ops import (
     d_search_leaf,
 )
 from ..btree.tree import BPlusTree
-from ..config import DeviceConfig
+from ..device import DeviceContext
 from ..core.pipeline import (
     FinalizePass,
     HostApplyPass,
@@ -42,7 +41,7 @@ from ..core.pipeline import (
 from ..locks import LatchTable
 from ..simt import BRANCH, Load, Mark
 from .base import System
-from .model import OVERLAP, EventTotals, writer_collision_groups
+from .model import OVERLAP, point_leaf_contention, range_spans
 
 #: expected latch-hold length in issue slots (drives expected spins in the
 #: vector model; the SIMT engine measures the real value).
@@ -62,27 +61,13 @@ class LockChargePass(Pass):
         height = tree.height
         n = ctx.n
 
-        q_mask = batch.kinds == OpKind.QUERY
-        w_mask = is_update_kind_array(batch.kinds)
-        point = batch.kinds != OpKind.RANGE
-        point_idx = np.flatnonzero(point)
-        leaves = np.zeros(n, dtype=np.int64)
-        if point_idx.size:
-            leaves[point_idx], _ = batch_find_leaf(tree, batch.keys[point_idx])
-
-        w_idx = np.flatnonzero(w_mask)
-        _, w_rank = writer_collision_groups(leaves[w_idx])
-        writers_on_leaf = (
-            np.bincount(leaves[w_idx], minlength=tree.max_nodes)
-            if w_idx.size
-            else np.zeros(tree.max_nodes, dtype=np.int64)
-        )
+        leaves, w_idx, w_rank, writers_on_leaf = point_leaf_contention(tree, batch)
 
         # writers spin while earlier same-leaf writers hold the leaf latch
         spins = np.zeros(n, dtype=np.float64)
         spins[w_idx] = OVERLAP * w_rank * HOLD_SLOTS
         # readers re-validate nodes a writer touched (restart from root)
-        q_idx = np.flatnonzero(q_mask)
+        q_idx = np.flatnonzero(batch.kinds == OpKind.QUERY)
         reader_restarts = OVERLAP * 0.25 * writers_on_leaf[leaves[q_idx]]
 
         base_q = height * im.node_visit_lock_validated + im.leaf_lookup_plain
@@ -101,7 +86,7 @@ class LockChargePass(Pass):
 
         range_idx = np.flatnonzero(batch.kinds == OpKind.RANGE)
         if range_idx.size:
-            spans = _range_spans(tree, batch, range_idx)
+            spans = range_spans(tree, batch, range_idx)
             totals.add(height * im.node_visit_lock_validated, count=int(range_idx.size))
             totals.add(im.leaf_lookup_plain + im.lock_spin * 0.5, count=int(spans.sum()))
             work[range_idx] = (
@@ -160,9 +145,9 @@ class LockSimtKernelPass(Pass):
 
             return program()
 
-        launch = ctx.devctx.launch(n, rng=ctx.launch_rng())
+        launch = ctx.launch()
         launch.add_programs([make_program(i) for i in range(n)])
-        counters = launch.run()
+        ctx.run_launch(launch, "query_kernel")
         results.set_range_results(
             {
                 i: (np.array(ks, dtype=np.int64), np.array(vs, dtype=np.int64))
@@ -170,19 +155,7 @@ class LockSimtKernelPass(Pass):
             }
         )
         lock_delta = latches.stats.delta_since(lock_before)
-
-        ctx.counters = counters
-        ctx.totals.merge(
-            EventTotals(
-                mem=counters.mem_inst,
-                ctrl=counters.control_inst,
-                alu=counters.alu_inst,
-                atomic=counters.atomic_inst,
-                transactions=counters.transactions,
-                conflicts=float(lock_delta.spins),
-            )
-        )
-        ctx.phase.query_kernel = ctx.device.cycles_to_seconds(counters.cycles)
+        ctx.totals.conflicts += float(lock_delta.spins)
         ctx.traversal_steps = float(steps_taken.mean()) if n else 0.0
         ctx.extras["locks"] = lock_delta
 
@@ -192,13 +165,8 @@ class LockGBTree(System):
 
     name = "Lock GB-tree"
 
-    def __init__(
-        self,
-        tree: BPlusTree,
-        device: DeviceConfig | None = None,
-        devctx=None,
-    ) -> None:
-        super().__init__(tree, device, devctx)
+    def __init__(self, tree: BPlusTree, devctx: DeviceContext) -> None:
+        super().__init__(tree, devctx)
         self.latches = LatchTable(tree.arena)
 
     def build_pipeline(self, engine: str) -> PassPipeline:
@@ -213,16 +181,6 @@ class LockGBTree(System):
         else:
             passes = [LockSimtKernelPass(), SimtResponsePass(), FinalizePass()]
         return PassPipeline(passes, name=f"lock/{engine}")
-
-
-def _range_spans(tree: BPlusTree, batch, range_idx: np.ndarray) -> np.ndarray:
-    lo_leaves, _ = batch_find_leaf(tree, batch.keys[range_idx])
-    hi_leaves, _ = batch_find_leaf(tree, batch.range_ends[range_idx])
-    index_of = {leaf: i for i, leaf in enumerate(tree.leaf_ids())}
-    return np.array(
-        [index_of[int(h)] - index_of[int(l)] + 1 for l, h in zip(lo_leaves, hi_leaves)],
-        dtype=np.int64,
-    )
 
 
 def _d_update_locked(tree: BPlusTree, latches: LatchTable, kind: int, key: int, value: int, owner: int):

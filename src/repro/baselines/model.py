@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._types import OpKind, is_update_kind_array
+from ..btree import batch_find_leaf
 from ..config import DeviceConfig
 
 #: probability that two same-leaf operations of one batch overlap in time.
@@ -232,3 +234,31 @@ def writer_collision_groups(leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     size[order] = lengths[run_id]
     rank[order] = rank_sorted
     return size, rank
+
+
+def point_leaf_contention(tree, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-leaf writer contention of a batch (the baselines' collision models).
+
+    Returns the leaf of every point request (0 for ranges), the batch
+    positions of the update-class requests, each one's rank among the
+    writers of its leaf (:func:`writer_collision_groups`), and the writer
+    count per leaf id.
+    """
+    leaves = np.zeros(batch.n, dtype=np.int64)
+    point_idx = np.flatnonzero(batch.kinds != OpKind.RANGE)
+    if point_idx.size:
+        leaves[point_idx], _ = batch_find_leaf(tree, batch.keys[point_idx])
+    w_idx = np.flatnonzero(is_update_kind_array(batch.kinds))
+    _, w_rank = writer_collision_groups(leaves[w_idx])
+    return leaves, w_idx, w_rank, np.bincount(leaves[w_idx], minlength=tree.max_nodes)
+
+
+def range_spans(tree, batch, range_idx: np.ndarray) -> np.ndarray:
+    """Leaves each range request at ``range_idx`` spans, both ends included."""
+    lo_leaves, _ = batch_find_leaf(tree, batch.keys[range_idx])
+    hi_leaves, _ = batch_find_leaf(tree, batch.range_ends[range_idx])
+    index_of = {leaf: i for i, leaf in enumerate(tree.leaf_ids())}
+    return np.array(
+        [index_of[int(h)] - index_of[int(l)] + 1 for l, h in zip(lo_leaves, hi_leaves)],
+        dtype=np.int64,
+    )

@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .._types import OpKind, is_update_kind_array
-from ..btree import batch_find_leaf
 from ..btree.device_ops import d_find_leaf, d_search_leaf, d_walk_leaves
 from ..core.pipeline import (
     FinalizePass,
@@ -29,7 +28,7 @@ from ..core.pipeline import (
 )
 from ..simt import Mark, Store
 from .base import System
-from .model import EventTotals
+from .model import range_spans
 
 
 class NoCCChargePass(Pass):
@@ -55,12 +54,7 @@ class NoCCChargePass(Pass):
         # ranges: descent plus the spanned leaf chain
         range_idx = np.flatnonzero(batch.kinds == OpKind.RANGE)
         if range_idx.size:
-            lo_leaves, _ = batch_find_leaf(tree, batch.keys[range_idx])
-            hi_leaves, _ = batch_find_leaf(tree, batch.range_ends[range_idx])
-            index_of = {leaf: i for i, leaf in enumerate(tree.leaf_ids())}
-            spans = np.array(
-                [index_of[int(h)] - index_of[int(l)] + 1 for l, h in zip(lo_leaves, hi_leaves)]
-            )
+            spans = range_spans(tree, batch, range_idx)
             ctx.totals.add(im.node_visit_plain, count=int(range_idx.size) * height)
             ctx.totals.add(im.leaf_lookup_plain, count=int(spans.sum()))
 
@@ -107,22 +101,10 @@ class NoCCSimtKernelPass(Pass):
 
             return program()
 
-        launch = ctx.devctx.launch(n, rng=ctx.launch_rng())
+        launch = ctx.launch()
         launch.add_programs([make_program(i) for i in range(n)])
-        counters = launch.run()
+        ctx.run_launch(launch, "query_kernel")
         results.set_range_results(ranges)
-
-        ctx.counters = counters
-        ctx.totals.merge(
-            EventTotals(
-                mem=counters.mem_inst,
-                ctrl=counters.control_inst,
-                alu=counters.alu_inst,
-                atomic=counters.atomic_inst,
-                transactions=counters.transactions,
-            )
-        )
-        ctx.phase.query_kernel = ctx.device.cycles_to_seconds(counters.cycles)
         ctx.traversal_steps = float(steps_taken.mean()) if n else 0.0
 
 

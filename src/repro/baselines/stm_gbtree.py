@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._types import OpKind, is_update_kind_array
-from ..btree import batch_find_leaf
+from .._types import OpKind
 from ..btree.device_ops import (
     d_find_leaf_stm,
     d_leaf_delete_stm,
@@ -26,7 +25,7 @@ from ..btree.device_ops import (
     d_smo_upsert,
 )
 from ..btree.tree import BPlusTree
-from ..config import DeviceConfig
+from ..device import DeviceContext
 from ..core.pipeline import (
     FinalizePass,
     HostApplyPass,
@@ -40,7 +39,7 @@ from ..errors import SimulationError, TransactionAborted
 from ..simt import BRANCH, Mark
 from ..stm import DeviceStm, StmRegion
 from .base import System
-from .model import OVERLAP, EventTotals, writer_collision_groups
+from .model import OVERLAP, point_leaf_contention, range_spans
 
 #: fraction of a writer's window a (shorter) read-only tx is exposed to.
 READER_EXPOSURE = 0.5
@@ -62,24 +61,12 @@ class StmChargePass(Pass):
         height = tree.height
         n = ctx.n
 
-        point = batch.kinds != OpKind.RANGE
-        q_mask = (batch.kinds == OpKind.QUERY)
-        w_mask = is_update_kind_array(batch.kinds)
-        point_idx = np.flatnonzero(point)
-        leaves = np.zeros(n, dtype=np.int64)
-        if point_idx.size:
-            leaves[point_idx], _ = batch_find_leaf(tree, batch.keys[point_idx])
-
         # expected aborts: writers serialize per leaf; readers are exposed
         # to every writer of their leaf for a fraction of its window
-        w_idx = np.flatnonzero(w_mask)
-        _, w_rank = writer_collision_groups(leaves[w_idx])
-        writers_on_leaf = np.bincount(
-            leaves[w_idx], minlength=tree.max_nodes
-        ) if w_idx.size else np.zeros(tree.max_nodes, dtype=np.int64)
+        leaves, w_idx, w_rank, writers_on_leaf = point_leaf_contention(tree, batch)
         retries = np.zeros(n, dtype=np.float64)
         retries[w_idx] = OVERLAP * w_rank
-        q_idx = np.flatnonzero(q_mask)
+        q_idx = np.flatnonzero(batch.kinds == OpKind.QUERY)
         retries[q_idx] = OVERLAP * READER_EXPOSURE * writers_on_leaf[leaves[q_idx]]
 
         base_q = height * im.node_visit_stm + im.leaf_lookup_stm + im.tx_begin_commit_query
@@ -105,7 +92,7 @@ class StmChargePass(Pass):
         # ranges: transactional scan over the spanned leaf chain
         range_idx = np.flatnonzero(batch.kinds == OpKind.RANGE)
         if range_idx.size:
-            spans = _range_spans(tree, batch, range_idx)
+            spans = range_spans(tree, batch, range_idx)
             base_r = height * im.node_visit_stm + im.tx_begin_commit_query
             totals.add(base_r, count=int(range_idx.size))
             totals.add(im.leaf_lookup_stm, count=int(spans.sum()))
@@ -187,9 +174,9 @@ class StmSimtKernelPass(Pass):
 
             return program()
 
-        launch = ctx.devctx.launch(n, rng=ctx.launch_rng())
+        launch = ctx.launch()
         launch.add_programs([make_program(i) for i in range(n)])
-        counters = launch.run()
+        ctx.run_launch(launch, "query_kernel")
         results.set_range_results(
             {
                 i: (np.array(ks, dtype=np.int64), np.array(vs, dtype=np.int64))
@@ -197,19 +184,7 @@ class StmSimtKernelPass(Pass):
             }
         )
         stm_delta = stm.stats.delta_since(stm_before)
-
-        ctx.counters = counters
-        ctx.totals.merge(
-            EventTotals(
-                mem=counters.mem_inst,
-                ctrl=counters.control_inst,
-                alu=counters.alu_inst,
-                atomic=counters.atomic_inst,
-                transactions=counters.transactions,
-                conflicts=float(stm_delta.conflicts),
-            )
-        )
-        ctx.phase.query_kernel = ctx.device.cycles_to_seconds(counters.cycles)
+        ctx.totals.conflicts += float(stm_delta.conflicts)
         ctx.traversal_steps = float(steps_taken.mean()) if n else 0.0
         ctx.extras["retries"] = retries
         ctx.extras["stm"] = stm_delta
@@ -225,10 +200,9 @@ class StmGBTree(System):
         tree: BPlusTree,
         stm_region: StmRegion,
         smo_lock_addr: int,
-        device: DeviceConfig | None = None,
-        devctx=None,
+        devctx: DeviceContext,
     ) -> None:
-        super().__init__(tree, device, devctx)
+        super().__init__(tree, devctx)
         self.stm = DeviceStm(tree.arena, stm_region)
         self.smo_lock_addr = smo_lock_addr
 
@@ -243,16 +217,6 @@ class StmGBTree(System):
         else:
             passes = [StmSimtKernelPass(), SimtResponsePass(), FinalizePass()]
         return PassPipeline(passes, name=f"stm/{engine}")
-
-
-def _range_spans(tree: BPlusTree, batch, range_idx: np.ndarray) -> np.ndarray:
-    lo_leaves, _ = batch_find_leaf(tree, batch.keys[range_idx])
-    hi_leaves, _ = batch_find_leaf(tree, batch.range_ends[range_idx])
-    index_of = {leaf: i for i, leaf in enumerate(tree.leaf_ids())}
-    return np.array(
-        [index_of[int(h)] - index_of[int(l)] + 1 for l, h in zip(lo_leaves, hi_leaves)],
-        dtype=np.int64,
-    )
 
 
 def _d_range_scan_stm(tree: BPlusTree, stm: DeviceStm, tx, leaf: int, lo: int, hi: int):

@@ -110,13 +110,11 @@ class TreeConfig:
 class EireneConfig:
     """Feature flags and tunables for Eirene (§4, §5, §7 of the paper)."""
 
-    #: §4.1 combining-based synchronization (sort + combine + RESULT_CAL).
-    enable_combining: bool = True
     #: §5 locality-aware warp reorganization (iteration warps + RF field).
     enable_locality: bool = True
     #: §4.2 split query/update requests into separate kernels. When False
     #: the pipeline selects one *unified* kernel pass instead
-    #: (:func:`repro.core.pipeline.eirene_pass_plan`): queries share the
+    #: (:meth:`repro.core.eirene.EireneTree.build_pipeline`): queries share the
     #: launch with writers, lose the NTG search, and must read their leaf
     #: inside an STM leaf-region transaction (ablation of the paper's
     #: query/update kernel split).
@@ -144,11 +142,6 @@ class EireneConfig:
             raise ConfigError("rgs_per_iteration_warp must be >= 1")
         if self.batch_threshold < 1:
             raise ConfigError("batch_threshold must be >= 1")
-        if self.enable_locality and not self.enable_combining:
-            raise ConfigError(
-                "locality-aware warp reorganization requires combining: "
-                "request groups are formed from the sorted/combined stream"
-            )
 
     def replace(self, **kwargs: object) -> "EireneConfig":
         """Return a copy with the given fields replaced."""

@@ -8,7 +8,6 @@ from .pipeline import (
     Pass,
     PassPipeline,
     PipelineContext,
-    eirene_pass_plan,
     run_pipeline,
 )
 from .combining import CombinePlan, CombineWork, combine_point_requests, propagate_results
@@ -49,7 +48,6 @@ __all__ = [
     "d_query",
     "d_range_raw",
     "d_update",
-    "eirene_pass_plan",
     "plan_range_patches",
     "propagate_results",
     "run_pipeline",

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._types import MAX_KEY, NULL_VALUE, OpKind
+from .._types import NULL_VALUE, OpKind
 from ..btree import batch_find_leaf, batch_leaf_lookup
 from ..btree.tree import BPlusTree
-from ..errors import TreeError
 from ..workloads.requests import BatchResults, RequestBatch
 from .combining import combine_point_requests, propagate_results
 
@@ -49,15 +48,10 @@ def apply_in_order(
     on ``tree``, one host call each, in the order given.
 
     Returns each request's old value (``NULL_VALUE`` for ranges) and the
-    range results keyed by batch position. The key of every insert and
-    update in ``batch`` is checked first, those outside ``idx`` included,
-    so an out-of-range key raises :class:`TreeError` before any request
-    lands.
+    range results keyed by batch position. Point keys are checked by
+    :meth:`~repro.workloads.requests.RequestBatch.check_point_keys` before
+    a batch reaches an engine.
     """
-    upserts = (batch.kinds == OpKind.UPDATE) | (batch.kinds == OpKind.INSERT)
-    bad = batch.keys[upserts & ((batch.keys < 0) | (batch.keys > MAX_KEY))]
-    if bad.size:
-        raise TreeError(f"key {int(bad[0])} out of range")
     old = np.full(idx.size, NULL_VALUE, dtype=np.int64)
     ranges: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     kinds = batch.kinds[idx].tolist()

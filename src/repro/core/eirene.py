@@ -1,8 +1,8 @@
 """Eirene: the combining-based concurrency control framework (§4–§7).
 
 Pipeline per buffered batch (Algorithm 1), expressed as concrete
-:class:`~repro.core.pipeline.Pass` objects selected by
-:func:`~repro.core.pipeline.eirene_pass_plan` from the
+:class:`~repro.core.pipeline.Pass` objects that
+:meth:`EireneTree.build_pipeline` selects from the
 :class:`~repro.config.EireneConfig` feature flags:
 
 1. **COMBINING** (:class:`CombinePass`) — radix-sort point requests by
@@ -36,11 +36,11 @@ import numpy as np
 from .._types import NULL_VALUE, OpKind
 from ..btree import batch_find_leaf, batch_leaf_lookup
 from ..btree.tree import BPlusTree
-from ..config import DeviceConfig, EireneConfig, FULL_EIRENE
-from ..errors import ConfigError
-from ..simt import CostModel, Mark
+from ..config import EireneConfig, FULL_EIRENE
+from ..device import DeviceContext
+from ..simt import Mark
 from ..stm import DeviceStm, StmRegion
-from ..baselines.base import System, simt_response_times
+from ..baselines.base import System
 from ..baselines.model import (
     COALESCE_SORTED,
     OVERLAP,
@@ -62,7 +62,7 @@ from .kernels import (
     make_warp_shared,
 )
 from .locality import build_iteration_plan, vector_locality_steps
-from .pipeline import FinalizePass, Pass, PassPipeline, PipelineContext
+from .pipeline import FinalizePass, Pass, PassPipeline, PipelineContext, set_simt_response_times
 from .range_combining import apply_range_patches, plan_range_patches
 
 #: fraction of a writer's leaf-region transaction window a unified-kernel
@@ -105,27 +105,30 @@ class PartitionPass(Pass):
 # --------------------------------------------------------------------- #
 # vector-engine passes
 # --------------------------------------------------------------------- #
-class VectorLocalityPass(Pass):
-    """§5 warp reorganization: per-class iteration plans and the resulting
-    traversal step counts (horizontal walks shortcut vertical descents).
+class VectorTraversalPass(Pass):
+    """Issued requests' leaves and traversal steps, per class. With locality
+    (§5 warp reorganization) iteration plans let horizontal walks shortcut
+    vertical descents; without it every request descends root→leaf.
 
     Query-class steps are computed before update-class steps — the RF
     maintenance of :func:`vector_locality_steps` mutates tree state in that
     order, matching the kernel launch order.
     """
 
-    name = "locality"
-
-    def __init__(self, enable_rf: bool = True) -> None:
+    def __init__(self, locality: bool = True, enable_rf: bool = True) -> None:
+        self.locality = locality
         self.enable_rf = enable_rf
+        self.name = "locality" if locality else "traversal"
 
     def run(self, ctx: PipelineContext) -> None:
         plan: CombinePlan = ctx.art["plan"]
         cfg = ctx.system.config
-        for cls, runs_key in (("q", "q_runs"), ("u", "u_runs")):
-            runs = ctx.art[runs_key]
-            keys = plan.issued_keys[runs]
-            if keys.size:
+        for cls in ("q", "u"):
+            keys = plan.issued_keys[ctx.art[f"{cls}_runs"]]
+            if not keys.size:
+                leaves = np.zeros(0, dtype=np.int64)
+                steps = np.zeros(0, dtype=np.int64)
+            elif self.locality:
                 iplan = build_iteration_plan(
                     int(keys.size), ctx.device.warp_size,
                     cfg.rgs_per_iteration_warp, ctx.device.num_sms,
@@ -133,29 +136,8 @@ class VectorLocalityPass(Pass):
                 ls = vector_locality_steps(ctx.tree, iplan, keys, enable_rf=self.enable_rf)
                 leaves, steps = ls.leaves, ls.steps
             else:
-                leaves = np.zeros(0, dtype=np.int64)
-                steps = np.zeros(0, dtype=np.int64)
-            ctx.art[f"{cls}_leaves"] = leaves
-            ctx.art[f"{cls}_steps"] = steps
-
-
-class VectorPlainTraversalPass(Pass):
-    """Locality-off traversal: every issued request descends root→leaf."""
-
-    name = "traversal"
-
-    def run(self, ctx: PipelineContext) -> None:
-        plan: CombinePlan = ctx.art["plan"]
-        height = ctx.tree.height
-        for cls, runs_key in (("q", "q_runs"), ("u", "u_runs")):
-            runs = ctx.art[runs_key]
-            keys = plan.issued_keys[runs]
-            if keys.size:
                 leaves, _ = batch_find_leaf(ctx.tree, keys)
-                steps = np.full(keys.size, height, dtype=np.int64)
-            else:
-                leaves = np.zeros(0, dtype=np.int64)
-                steps = np.zeros(0, dtype=np.int64)
+                steps = np.full(keys.size, ctx.tree.height, dtype=np.int64)
             ctx.art[f"{cls}_leaves"] = leaves
             ctx.art[f"{cls}_steps"] = steps
 
@@ -209,44 +191,54 @@ class VectorRangeScanPass(Pass):
         ctx.phase.query_kernel = phase_seconds(ctx.totals, ctx.device)
 
 
+def _charge_writers(ctx: PipelineContext, totals: EventTotals, retries: np.ndarray) -> None:
+    """Charge the issued update-class requests to ``totals``: descent, the
+    STM leaf-region update, and the expected retries of writers that clash
+    on one leaf (only in the short leaf-region transaction)."""
+    plan: CombinePlan = ctx.art["plan"]
+    im = ctx.imodel
+    u_runs = ctx.art["u_runs"]
+    ctx.art["u_steps_avg"] = float(ctx.tree.height)
+    if not u_runs.size:
+        return
+    u_steps = ctx.art["u_steps"]
+    totals.add(im.node_visit_plain, count=float(u_steps.sum()), coalesce=COALESCE_SORTED)
+    totals.add(im.leaf_update_stm, count=int(u_runs.size), coalesce=COALESCE_SORTED)
+    _, u_rank = writer_collision_groups(ctx.art["u_leaves"])
+    u_retry = OVERLAP * u_rank
+    retry_cost = im.leaf_update_stm + im.abort_rollback
+    totals.add(retry_cost, count=float(u_retry.sum()), coalesce=COALESCE_SORTED)
+    totals.conflicts += float(u_retry.sum())
+    retries[plan.issued_orig[u_runs]] = u_retry
+    ctx.art["u_steps_avg"] = float(u_steps.mean())
+
+
+def _apply_writers(ctx: PipelineContext, totals: EventTotals) -> None:
+    """Apply the issued update-class requests host-side, record their old
+    values and charge the splits they caused to ``totals``."""
+    tree = ctx.tree
+    u_runs = ctx.art["u_runs"]
+    splits_before = len(tree.split_events)
+    u_old = ctx.system._apply_issued_updates(ctx.batch, ctx.art["plan"], u_runs)
+    splits = len(tree.split_events) - splits_before
+    totals.add(ctx.imodel.split_smo, count=splits, coalesce=COALESCE_SORTED)
+    ctx.art["old_vals"][u_runs] = u_old
+    ctx.art["splits"] = splits
+
+
 class VectorUpdateKernelPass(Pass):
     """UPDATE_KERNEL: optimistic leaf-region STM; its own kernel roofline."""
 
     name = "update_kernel"
 
     def run(self, ctx: PipelineContext) -> None:
-        plan: CombinePlan = ctx.art["plan"]
-        im = ctx.imodel
-        u_runs = ctx.art["u_runs"]
-        u_keys = plan.issued_keys[u_runs]
         retries = np.zeros(ctx.n, dtype=np.float64)
         u_totals = EventTotals()
-        ctx.art["u_steps_avg"] = float(ctx.tree.height)
-        if u_keys.size:
-            u_steps = ctx.art["u_steps"]
-            u_totals.add(
-                im.node_visit_plain, count=float(u_steps.sum()), coalesce=COALESCE_SORTED
-            )
-            u_totals.add(im.leaf_update_stm, count=int(u_keys.size), coalesce=COALESCE_SORTED)
-            # structure conflicts: concurrent writers to the same leaf clash
-            # only in the (short) leaf-region transaction
-            _, u_rank = writer_collision_groups(ctx.art["u_leaves"])
-            u_retry = OVERLAP * u_rank
-            retry_cost = im.leaf_update_stm + im.abort_rollback
-            u_totals.add(retry_cost, count=float(u_retry.sum()), coalesce=COALESCE_SORTED)
-            u_totals.conflicts += float(u_retry.sum())
-            retries[plan.issued_orig[u_runs]] = u_retry
-            ctx.art["u_steps_avg"] = float(u_steps.mean())
-
-        splits_before = len(ctx.tree.split_events)
-        u_old = ctx.system._apply_issued_updates(ctx.batch, plan, u_runs)
-        splits = len(ctx.tree.split_events) - splits_before
-        u_totals.add(im.split_smo, count=splits, coalesce=COALESCE_SORTED)
+        _charge_writers(ctx, u_totals, retries)
+        _apply_writers(ctx, u_totals)
         ctx.phase.update_kernel = phase_seconds(u_totals, ctx.device)
         ctx.totals.merge(u_totals)
-        ctx.art["old_vals"][u_runs] = u_old
         ctx.art["retries"] = retries
-        ctx.art["splits"] = splits
 
 
 class VectorUnifiedKernelPass(Pass):
@@ -263,35 +255,13 @@ class VectorUnifiedKernelPass(Pass):
         im = ctx.imodel
         tree = ctx.tree
         totals = ctx.totals
-        height = tree.height
-        q_runs, u_runs = ctx.art["q_runs"], ctx.art["u_runs"]
+        q_runs = ctx.art["q_runs"]
         q_keys = plan.issued_keys[q_runs]
-        u_keys = plan.issued_keys[u_runs]
         retries = np.zeros(ctx.n, dtype=np.float64)
-        ctx.art["q_steps_avg"] = float(height)
-        ctx.art["u_steps_avg"] = float(height)
+        ctx.art["q_steps_avg"] = float(tree.height)
+        writers_on_leaf = np.bincount(ctx.art["u_leaves"], minlength=tree.max_nodes)
 
-        u_leaves = ctx.art["u_leaves"]
-        writers_on_leaf = (
-            np.bincount(u_leaves, minlength=tree.max_nodes)
-            if u_leaves.size
-            else np.zeros(tree.max_nodes, dtype=np.int64)
-        )
-
-        if u_keys.size:
-            u_steps = ctx.art["u_steps"]
-            totals.add(
-                im.node_visit_plain, count=float(u_steps.sum()), coalesce=COALESCE_SORTED
-            )
-            totals.add(im.leaf_update_stm, count=int(u_keys.size), coalesce=COALESCE_SORTED)
-            _, u_rank = writer_collision_groups(u_leaves)
-            u_retry = OVERLAP * u_rank
-            retry_cost = im.leaf_update_stm + im.abort_rollback
-            totals.add(retry_cost, count=float(u_retry.sum()), coalesce=COALESCE_SORTED)
-            totals.conflicts += float(u_retry.sum())
-            retries[plan.issued_orig[u_runs]] = u_retry
-            ctx.art["u_steps_avg"] = float(u_steps.mean())
-
+        _charge_writers(ctx, totals, retries)
         if q_keys.size:
             q_steps = ctx.art["q_steps"]
             q_leaves = ctx.art["q_leaves"]
@@ -309,34 +279,32 @@ class VectorUnifiedKernelPass(Pass):
             q_old, _ = batch_leaf_lookup(tree, q_leaves, q_keys)
             ctx.art["old_vals"][q_runs] = q_old
             ctx.art["q_steps_avg"] = float(q_steps.mean())
-
-        splits_before = len(tree.split_events)
-        u_old = ctx.system._apply_issued_updates(ctx.batch, plan, u_runs)
-        splits = len(tree.split_events) - splits_before
-        totals.add(im.split_smo, count=splits, coalesce=COALESCE_SORTED)
-        ctx.art["old_vals"][u_runs] = u_old
+        _apply_writers(ctx, totals)
         ctx.art["retries"] = retries
-        ctx.art["splits"] = splits
         # one launch: a single roofline over the merged work (incl. ranges)
         ctx.phase.query_kernel = phase_seconds(totals, ctx.device)
 
 
+def _result_cal(ctx: PipelineContext) -> CombinePlan:
+    """RESULT_CAL proper: propagate dependence-chain results, patch range
+    results with their artificial queries, charge the phase."""
+    plan: CombinePlan = ctx.art["plan"]
+    propagate_results(plan, ctx.art["old_vals"], ctx.results)
+    patches = plan_range_patches(ctx.batch, plan)
+    apply_range_patches(ctx.batch, ctx.art.get("raw", {}), patches, ctx.results)
+    ctx.phase.result_cal = ctx.art["t_rescal"]
+    return plan
+
+
 class VectorResultCalPass(Pass):
-    """RESULT_CAL: propagate dependence-chain results, patch ranges, model
-    response times (retry-heavy requests respond late)."""
+    """RESULT_CAL plus response times (retry-heavy requests respond late)."""
 
     name = "result_cal"
 
     def run(self, ctx: PipelineContext) -> None:
-        batch = ctx.batch
-        plan: CombinePlan = ctx.art["plan"]
+        plan = _result_cal(ctx)
         im = ctx.imodel
         n = ctx.n
-        propagate_results(plan, ctx.art["old_vals"], ctx.results)
-        patches = plan_range_patches(batch, plan)
-        apply_range_patches(batch, ctx.art.get("raw", {}), patches, ctx.results)
-        ctx.phase.result_cal = ctx.art["t_rescal"]
-
         seconds = ctx.phase.total
         # response times: every request's result is ready at the end of the
         # pipeline; conflict retries add per-request jitter on top
@@ -367,22 +335,25 @@ class VectorResultCalPass(Pass):
 # --------------------------------------------------------------------- #
 # SIMT-engine passes
 # --------------------------------------------------------------------- #
-def _merge_counters_into(totals: EventTotals, counters) -> None:
-    totals.mem += counters.mem_inst
-    totals.ctrl += counters.control_inst
-    totals.alu += counters.alu_inst
-    totals.atomic += counters.atomic_inst
-    totals.transactions += counters.transactions
+class SimtKernelPass(Pass):
+    """One SIMT launch of Eirene's issued requests.
 
+    ``runs`` picks the class of issued runs it carries: ``"q"`` (the
+    unsynchronized QUERY_KERNEL), ``"u"`` (the UPDATE_KERNEL under
+    optimistic leaf-region STM, Algorithm 1), ``"all"`` (the unified-kernel
+    ablation, whose queries take :func:`~repro.core.kernels.d_protected_query`
+    because they can race concurrent leaf splits) or ``None``. With
+    ``ranges`` every range program joins the launch in a warp of its own.
+    Under locality the runs are packed into iteration warps.
+    """
 
-class SimtQueryKernelPass(Pass):
-    """QUERY_KERNEL launch: issued queries (iteration warps under locality)
-    plus the batch's range programs, all in one unsynchronized launch."""
-
-    name = "query_kernel"
-
-    def __init__(self, locality: bool = True) -> None:
+    def __init__(self, name: str, runs: str | None, locality: bool, ranges: bool = False) -> None:
+        self.name = name
+        self.runs = runs
         self.locality = locality
+        self.ranges = ranges
+        self.writers = runs in ("u", "all")
+        self.bucket = "update_kernel" if runs == "u" else "query_kernel"
 
     def run(self, ctx: PipelineContext) -> None:
         system = ctx.system
@@ -391,171 +362,55 @@ class SimtQueryKernelPass(Pass):
         old_vals = ctx.art["old_vals"]
         steps_record = ctx.art.setdefault("steps_record", [])
         raw = ctx.art.setdefault("raw", {})
-        q_runs = ctx.art["q_runs"]
-        q_keys = plan.issued_keys[q_runs]
-
-        launch = ctx.devctx.launch(ctx.n, rng=ctx.launch_rng())
-
-        def on_result(slot: LaneSlot, val: int, steps: int, _horiz: bool) -> None:
-            old_vals[slot.tag] = val
-            steps_record.append(steps)
-
-        if q_keys.size:
-            if self.locality:
-                system._add_iteration_warps(launch, plan, q_runs, on_result, update_ctx=None)
-            else:
-                launch.add_programs(
-                    [
-                        system._plain_query_program(plan, int(r), old_vals, steps_record)
-                        for r in q_runs
-                    ]
-                )
-        for i in np.flatnonzero(batch.kinds == OpKind.RANGE):
-            launch.add_programs(
-                [system._range_program(int(i), int(batch.keys[i]), int(batch.range_ends[i]), raw)]
-            )
-        counters = launch.run() if launch.n_warps else None
-        if counters is not None:
-            _merge_counters_into(ctx.totals, counters)
-            ctx.phase.query_kernel = ctx.device.cycles_to_seconds(counters.cycles)
-            ctx.art.setdefault("counters_list", []).append(counters)
-
-
-class SimtUpdateKernelPass(Pass):
-    """UPDATE_KERNEL launch: issued update-class requests under optimistic
-    leaf-region STM (Algorithm 1); real conflicts from the STM stats."""
-
-    name = "update_kernel"
-
-    def __init__(self, locality: bool = True) -> None:
-        self.locality = locality
-
-    def run(self, ctx: PipelineContext) -> None:
-        system = ctx.system
-        cfg = system.config
-        plan: CombinePlan = ctx.art["plan"]
-        old_vals = ctx.art["old_vals"]
-        steps_record = ctx.art.setdefault("steps_record", [])
-        u_runs = ctx.art["u_runs"]
+        if self.runs is None:
+            runs = np.zeros(0, dtype=np.int64)
+        elif self.runs == "all":
+            runs = np.arange(plan.n_runs)
+        else:
+            runs = ctx.art[f"{self.runs}_runs"]
         u_retries = np.zeros(ctx.n, dtype=np.int64)
-        stm_before = system.stm.stats.snapshot()
+        if self.writers:
+            stm_before = system.stm.stats.snapshot()
 
-        launch = ctx.devctx.launch(ctx.n, rng=ctx.launch_rng())
+        launch = ctx.launch()
 
         def on_result(slot: LaneSlot, val: int, steps: int, _horiz: bool) -> None:
             old_vals[slot.tag] = val
             steps_record.append(steps)
 
-        if u_runs.size:
-            if self.locality:
-                system._add_iteration_warps(
-                    launch,
-                    plan,
-                    u_runs,
-                    on_result,
-                    update_ctx=(system.stm, system.smo_lock_addr, cfg.stm_retry_threshold),
-                )
-            else:
-                launch.add_programs(
-                    [
+        if runs.size and self.locality:
+            update_ctx = (
+                (system.stm, system.smo_lock_addr, system.config.stm_retry_threshold)
+                if self.writers else None
+            )
+            system._add_iteration_warps(launch, plan, runs, on_result, update_ctx)
+        elif runs.size:
+            programs = []
+            for r in runs:
+                if plan.run_has_update[r]:
+                    programs.append(
                         system._plain_update_program(plan, int(r), old_vals, u_retries, steps_record)
-                        for r in u_runs
-                    ]
+                    )
+                elif self.writers:
+                    programs.append(
+                        system._protected_query_program(plan, int(r), old_vals, steps_record)
+                    )
+                else:
+                    programs.append(
+                        system._plain_query_program(plan, int(r), old_vals, steps_record)
+                    )
+            launch.add_programs(programs)
+        if self.ranges:
+            for i in np.flatnonzero(batch.kinds == OpKind.RANGE):
+                launch.add_programs(
+                    [system._range_program(int(i), int(batch.keys[i]), int(batch.range_ends[i]), raw)]
                 )
-        counters = launch.run() if launch.n_warps else None
-        stm_delta = system.stm.stats.delta_since(stm_before)
-        if counters is not None:
-            _merge_counters_into(ctx.totals, counters)
-            ctx.phase.update_kernel = ctx.device.cycles_to_seconds(counters.cycles)
-            ctx.art.setdefault("counters_list", []).append(counters)
-        ctx.totals.conflicts += float(stm_delta.conflicts)
-        ctx.extras["stm"] = stm_delta
-        ctx.extras["retries"] = int(u_retries.sum())
-
-
-class SimtRangeScanPass(Pass):
-    """Unified-kernel mode only: range programs launch *before* the unified
-    kernel so they scan pre-update state (RESULT_CAL patches assume it)."""
-
-    name = "range_scan"
-
-    def run(self, ctx: PipelineContext) -> None:
-        system = ctx.system
-        batch = ctx.batch
-        raw = ctx.art.setdefault("raw", {})
-        range_idx = np.flatnonzero(batch.kinds == OpKind.RANGE)
-        if not range_idx.size:
-            return
-        launch = ctx.devctx.launch(ctx.n, rng=ctx.launch_rng())
-        for i in range_idx:
-            launch.add_programs(
-                [system._range_program(int(i), int(batch.keys[i]), int(batch.range_ends[i]), raw)]
-            )
-        counters = launch.run()
-        _merge_counters_into(ctx.totals, counters)
-        ctx.phase.query_kernel += ctx.device.cycles_to_seconds(counters.cycles)
-        ctx.art.setdefault("counters_list", []).append(counters)
-
-
-class SimtUnifiedKernelPass(Pass):
-    """``enable_kernel_partition=False`` ablation: every issued request in
-    one launch. Update-class requests run Algorithm 1 unchanged; queries run
-    :func:`~repro.core.kernels.d_protected_query` — they can race concurrent
-    leaf splits, so their leaf read needs the STM leaf-region transaction."""
-
-    name = "unified_kernel"
-
-    def __init__(self, locality: bool = True) -> None:
-        self.locality = locality
-
-    def run(self, ctx: PipelineContext) -> None:
-        system = ctx.system
-        cfg = system.config
-        plan: CombinePlan = ctx.art["plan"]
-        old_vals = ctx.art["old_vals"]
-        steps_record = ctx.art.setdefault("steps_record", [])
-        all_runs = np.arange(plan.n_runs)
-        u_retries = np.zeros(ctx.n, dtype=np.int64)
-        stm_before = system.stm.stats.snapshot()
-
-        launch = ctx.devctx.launch(ctx.n, rng=ctx.launch_rng())
-
-        def on_result(slot: LaneSlot, val: int, steps: int, _horiz: bool) -> None:
-            old_vals[slot.tag] = val
-            steps_record.append(steps)
-
-        if all_runs.size:
-            if self.locality:
-                system._add_iteration_warps(
-                    launch,
-                    plan,
-                    all_runs,
-                    on_result,
-                    update_ctx=(system.stm, system.smo_lock_addr, cfg.stm_retry_threshold),
-                )
-            else:
-                programs = []
-                for r in all_runs:
-                    if int(plan.run_has_update[r]):
-                        programs.append(
-                            system._plain_update_program(
-                                plan, int(r), old_vals, u_retries, steps_record
-                            )
-                        )
-                    else:
-                        programs.append(
-                            system._protected_query_program(plan, int(r), old_vals, steps_record)
-                        )
-                launch.add_programs(programs)
-        counters = launch.run() if launch.n_warps else None
-        stm_delta = system.stm.stats.delta_since(stm_before)
-        if counters is not None:
-            _merge_counters_into(ctx.totals, counters)
-            ctx.phase.query_kernel += ctx.device.cycles_to_seconds(counters.cycles)
-            ctx.art.setdefault("counters_list", []).append(counters)
-        ctx.totals.conflicts += float(stm_delta.conflicts)
-        ctx.extras["stm"] = stm_delta
-        ctx.extras["retries"] = int(u_retries.sum())
+        ctx.run_launch(launch, self.bucket)
+        if self.writers:
+            stm_delta = system.stm.stats.delta_since(stm_before)
+            ctx.totals.conflicts += float(stm_delta.conflicts)
+            ctx.extras["stm"] = stm_delta
+            ctx.extras["retries"] = int(u_retries.sum())
 
 
 class SimtResultCalPass(Pass):
@@ -564,24 +419,8 @@ class SimtResultCalPass(Pass):
     name = "result_cal"
 
     def run(self, ctx: PipelineContext) -> None:
-        batch = ctx.batch
-        plan: CombinePlan = ctx.art["plan"]
-        n = ctx.n
-        propagate_results(plan, ctx.art["old_vals"], ctx.results)
-        patches = plan_range_patches(batch, plan)
-        apply_range_patches(batch, ctx.art.get("raw", {}), patches, ctx.results)
-        ctx.phase.result_cal = ctx.art["t_rescal"]
-
-        merged = None
-        for counters in ctx.art.get("counters_list", []):
-            merged = counters if merged is None else merged.merge(counters)
-        seconds = ctx.phase.total
-        if merged is not None:
-            ctx.response_time_s = simt_response_times(merged, seconds, n)
-        else:
-            ctx.response_time_s = np.full(n, seconds / max(n, 1))
-        ctx.counters = merged
-
+        plan = _result_cal(ctx)
+        set_simt_response_times(ctx)
         steps_arr = np.asarray(ctx.art.get("steps_record", []), dtype=np.int64)
         ctx.traversal_steps = (
             float(steps_arr.mean()) if steps_arr.size else float(ctx.tree.height)
@@ -599,55 +438,54 @@ class EireneTree(System):
         tree: BPlusTree,
         stm_region: StmRegion,
         smo_lock_addr: int,
-        device: DeviceConfig | None = None,
+        devctx: DeviceContext,
         config: EireneConfig = FULL_EIRENE,
-        cost: CostModel | None = None,
-        devctx=None,
     ) -> None:
-        super().__init__(tree, device, devctx)
-        if not config.enable_combining:
-            raise ConfigError(
-                "EireneTree always combines; for the no-combining baseline "
-                "use StmGBTree (the paper's Fig. 11 ablation does the same)"
-            )
+        super().__init__(tree, devctx)
         self.config = config
         self.stm = DeviceStm(tree.arena, stm_region)
         self.smo_lock_addr = smo_lock_addr
-        self.cost = cost or self.devctx.cost
 
     # ------------------------------------------------------------------ #
     # pipeline assembly: EireneConfig flags -> pass selection
     # ------------------------------------------------------------------ #
     def build_pipeline(self, engine: str) -> PassPipeline:
-        from .pipeline import eirene_pass_plan
-
+        """Algorithm 1's pass list for ``engine``; the Fig. 11/12 ablations
+        are pass selections. ``enable_locality`` swaps the traversal (vector)
+        or the warp packing (SIMT); ``enable_kernel_partition=False`` swaps
+        the split query/update kernels for one unified, fully protected
+        kernel, with ranges scanned first so RESULT_CAL patches still see
+        pre-update state. Combining is structural: the no-combining bar is
+        the STM baseline, as in the paper."""
         cfg = self.config
-        factories = {
-            "combine": CombinePass,
-            "partition": PartitionPass,
-            "finalize": FinalizePass,
-        }
+        passes: list[Pass] = [CombinePass(), PartitionPass()]
         if engine == "vector":
-            factories.update(
-                locality=lambda: VectorLocalityPass(enable_rf=cfg.enable_rf_decision),
-                traversal=VectorPlainTraversalPass,
-                query_kernel=lambda: VectorQueryKernelPass(
-                    ntg=cfg.enable_narrowed_thread_groups
-                ),
-                range_scan=VectorRangeScanPass,
-                update_kernel=VectorUpdateKernelPass,
-                unified_kernel=VectorUnifiedKernelPass,
-                result_cal=VectorResultCalPass,
-            )
+            passes.append(VectorTraversalPass(cfg.enable_locality, cfg.enable_rf_decision))
+            if cfg.enable_kernel_partition:
+                passes += [
+                    VectorQueryKernelPass(ntg=cfg.enable_narrowed_thread_groups),
+                    VectorRangeScanPass(),
+                    VectorUpdateKernelPass(),
+                ]
+            else:
+                passes += [VectorRangeScanPass(), VectorUnifiedKernelPass()]
+            passes.append(VectorResultCalPass())
         else:
-            factories.update(
-                query_kernel=lambda: SimtQueryKernelPass(locality=cfg.enable_locality),
-                update_kernel=lambda: SimtUpdateKernelPass(locality=cfg.enable_locality),
-                range_scan=SimtRangeScanPass,
-                unified_kernel=lambda: SimtUnifiedKernelPass(locality=cfg.enable_locality),
-                result_cal=SimtResultCalPass,
-            )
-        passes = [factories[name]() for name in eirene_pass_plan(cfg, engine)]
+            loc = cfg.enable_locality
+            if cfg.enable_kernel_partition:
+                # the query kernel carries the range programs in its own
+                # launch (same warp packing as Algorithm 1)
+                passes += [
+                    SimtKernelPass("query_kernel", "q", loc, ranges=True),
+                    SimtKernelPass("update_kernel", "u", loc),
+                ]
+            else:
+                passes += [
+                    SimtKernelPass("range_scan", None, loc, ranges=True),
+                    SimtKernelPass("unified_kernel", "all", loc),
+                ]
+            passes.append(SimtResultCalPass())
+        passes.append(FinalizePass())
         return PassPipeline(passes, name=f"eirene/{engine}")
 
     # ------------------------------------------------------------------ #
@@ -660,7 +498,7 @@ class EireneTree(System):
 
     def _host_phase_times(self, plan: CombinePlan) -> tuple[float, float, float]:
         """Sort / combine / result-cal device time from primitive work."""
-        c = self.cost
+        c = self.devctx.cost
         n = plan.n_point
         t_sort = c.seconds(c.cycles_per_sort_element_pass * plan.work.sort.passes * max(n, 1))
         t_combine = c.seconds(c.cycles_per_scan_element * max(plan.work.scan_elements, n))

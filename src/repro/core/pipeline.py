@@ -5,7 +5,8 @@ Algorithm 1's phases (COMBINING → PARTITION → QUERY_KERNEL → UPDATE_KERNEL
 :class:`Pass` objects threaded over one :class:`PipelineContext`. A system
 is just a different pass list, and every ablation of
 :class:`~repro.config.EireneConfig` is a different *pass selection*
-(:func:`eirene_pass_plan`) — never a boolean branch inside system code.
+(:meth:`repro.core.eirene.EireneTree.build_pipeline`) — never a boolean
+branch inside system code.
 
 Contract:
 
@@ -17,6 +18,9 @@ Contract:
   the pipeline attributes the ``ctx.phase.total`` *delta* of each pass to
   that pass's trace record, so per-pass modeled seconds always sum to the
   batch's reported ``seconds``;
+* every SIMT kernel runs through :meth:`PipelineContext.run_launch`, the
+  one place launch counters reach ``ctx.totals``, ``ctx.phase`` and
+  ``ctx.counters``;
 * the final pass (:class:`FinalizePass`) assembles the
   :class:`~repro.baselines.base.BatchOutcome`; the pipeline then attaches
   the :class:`~repro.metrics.trace.PipelineTrace` to it.
@@ -44,7 +48,7 @@ from .apply import apply_batch
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (base imports us lazily)
     from ..baselines.base import BatchOutcome, System
     from ..baselines.model import EventTotals
-    from ..simt import KernelCounters
+    from ..simt import KernelCounters, KernelLaunch
 
 
 def _new_totals():
@@ -114,12 +118,29 @@ class PipelineContext:
         rest = self.phase.total
         setattr(self.phase, bucket, max(phase_seconds(self.totals, self.device) - rest, 0.0))
 
-    def launch_rng(self) -> np.random.Generator:
-        """One warp-scheduling rng per batch, shared by every kernel pass
-        (consumed in pass order, like consecutive launches of one stream)."""
+    def launch(self) -> "KernelLaunch":
+        """A kernel grid on the system's device. Every launch of a batch
+        draws its warp order from one rng (consumed in launch order, like
+        consecutive launches of one stream)."""
         if "sched_rng" not in self.art:
             self.art["sched_rng"] = self.system._launch_rng(self.batch)
-        return self.art["sched_rng"]
+        return self.devctx.launch(self.n, rng=self.art["sched_rng"])
+
+    def run_launch(self, launch: "KernelLaunch", bucket: str) -> None:
+        """Run ``launch`` unless it has no warps, and add its counters to
+        ``totals``, to ``phase.<bucket>`` and to ``counters``."""
+        if not launch.n_warps:
+            return
+        c = launch.run()
+        t = self.totals
+        t.mem += c.mem_inst
+        t.ctrl += c.control_inst
+        t.alu += c.alu_inst
+        t.atomic += c.atomic_inst
+        t.transactions += c.transactions
+        seconds = self.device.cycles_to_seconds(c.cycles)
+        setattr(self.phase, bucket, getattr(self.phase, bucket) + seconds)
+        self.counters = c if self.counters is None else self.counters.merge(c)
 
 
 class Pass(abc.ABC):
@@ -183,40 +204,6 @@ class PassPipeline:
 
 
 # --------------------------------------------------------------------- #
-# pass plans: EireneConfig feature flags -> pass selection
-# --------------------------------------------------------------------- #
-def eirene_pass_plan(config, engine: str) -> tuple[str, ...]:
-    """Pass names Eirene's pipeline assembles for ``config`` on ``engine``.
-
-    This is the single source of truth for the Fig. 11/12 ablation
-    variants: ``enable_locality`` swaps the traversal pass,
-    ``enable_kernel_partition`` swaps the split query/update kernels for
-    one unified (fully protected) kernel. ``enable_combining`` is
-    structural for Eirene (the no-combining bar is the STM baseline, as in
-    the paper), so ``combine`` is always present.
-    """
-    names = ["combine", "partition"]
-    if engine == "vector":
-        names.append("locality" if config.enable_locality else "traversal")
-        if config.enable_kernel_partition:
-            names += ["query_kernel", "range_scan", "update_kernel"]
-        else:
-            names += ["range_scan", "unified_kernel"]
-    elif engine == "simt":
-        # the SIMT query kernel carries the range programs in its own
-        # launch (same warp packing as Algorithm 1), so there is no
-        # separate range pass unless the kernels are unified
-        if config.enable_kernel_partition:
-            names += ["query_kernel", "update_kernel"]
-        else:
-            names += ["range_scan", "unified_kernel"]
-    else:
-        raise ConfigError(f"unknown engine {engine!r}; use 'vector' or 'simt'")
-    names += ["result_cal", "finalize"]
-    return tuple(names)
-
-
-# --------------------------------------------------------------------- #
 # shared passes (used by every system's pipeline)
 # --------------------------------------------------------------------- #
 class HostApplyPass(Pass):
@@ -262,19 +249,25 @@ class WeightedResponsePass(Pass):
             ctx.response_time_s = (seconds / n) * (work / max(work.mean(), 1e-12))
 
 
+def set_simt_response_times(ctx: PipelineContext) -> None:
+    """Response times from the measured per-lane service steps of the
+    batch's launches (uniform when nothing launched)."""
+    from ..baselines.base import simt_response_times
+
+    seconds = ctx.phase.total
+    if ctx.counters is not None:
+        ctx.response_time_s = simt_response_times(ctx.counters, seconds, ctx.n)
+    else:
+        ctx.response_time_s = np.full(ctx.n, seconds / max(ctx.n, 1))
+
+
 class SimtResponsePass(Pass):
     """SIMT-engine response times from measured per-lane service steps."""
 
     name = "response_model"
 
     def run(self, ctx: PipelineContext) -> None:
-        from ..baselines.base import simt_response_times
-
-        seconds = ctx.phase.total
-        if ctx.counters is not None:
-            ctx.response_time_s = simt_response_times(ctx.counters, seconds, ctx.n)
-        else:
-            ctx.response_time_s = np.full(ctx.n, seconds / max(ctx.n, 1))
+        set_simt_response_times(ctx)
 
 
 class FinalizePass(Pass):

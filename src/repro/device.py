@@ -164,7 +164,8 @@ class DeviceContext:
         device: DeviceConfig | None = None,
         seed: int = 0,
     ) -> "DeviceContext":
-        """Wrap an existing arena (legacy construction paths)."""
+        """Wrap an existing arena (``build_device_tree`` sizes the arena
+        first, then wraps it)."""
         return cls(arena=arena, device=device, seed=seed)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

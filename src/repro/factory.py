@@ -21,7 +21,7 @@ from .stm import StmRegion
 
 #: Eirene ablation variants by name. Each maps to an
 #: :class:`~repro.config.EireneConfig` whose feature flags select a
-#: different pass list (:func:`repro.core.pipeline.eirene_pass_plan`) —
+#: different pass list (:meth:`repro.core.eirene.EireneTree.build_pipeline`) —
 #: the harness builds every Fig. 11/12 bar through these names, never by
 #: branching inside system code.
 EIRENE_VARIANTS: dict[str, EireneConfig] = {
@@ -61,25 +61,6 @@ def build_device_tree(
         region = StmRegion(arena, tree.layout.base, node_words)
     smo_lock_addr = arena.alloc(1)
     return devctx, tree, region, smo_lock_addr
-
-
-def build_tree(
-    keys: np.ndarray,
-    values: np.ndarray,
-    config: TreeConfig | None = None,
-    fill_factor: float = 0.7,
-    with_stm_tables: bool = True,
-) -> tuple[BPlusTree, StmRegion | None, int]:
-    """Build a tree in an arena sized for its synchronization metadata.
-
-    Returns ``(tree, stm_region, smo_lock_addr)``; ``stm_region`` is None
-    when ``with_stm_tables`` is False. Convenience wrapper over
-    :func:`build_device_tree` for callers that don't need the context.
-    """
-    _, tree, region, smo_lock_addr = build_device_tree(
-        keys, values, config, fill_factor, with_stm_tables
-    )
-    return tree, region, smo_lock_addr
 
 
 def make_system(

@@ -100,7 +100,7 @@ def ablate_kernel_partition(cfg: ExperimentConfig | None = None) -> FigureResult
     """§4.2 knob: split query/update kernels vs one unified kernel.
 
     ``enable_kernel_partition=False`` selects the ``unified_kernel`` pass
-    (see :func:`repro.core.pipeline.eirene_pass_plan`): queries share the
+    (see :meth:`repro.core.eirene.EireneTree.build_pipeline`): queries share the
     launch with writers, so they lose the NTG search and must read their
     leaf under STM protection, exposed to writer aborts. The sweep shows
     why the paper runs queries in their own unsynchronized kernel.

@@ -141,13 +141,6 @@ def run_system(
     )
 
 
-def run_all(
-    systems: tuple[str, ...],
-    cfg: ExperimentConfig,
-    eirene_configs: dict[str, EireneConfig] | None = None,
-) -> dict[str, SystemRun]:
+def run_all(systems: tuple[str, ...], cfg: ExperimentConfig) -> dict[str, SystemRun]:
     """Run several systems on identical workloads (same seed ⇒ same batches)."""
-    eirene_configs = eirene_configs or {}
-    return {
-        s: run_system(s, cfg, eirene_configs.get(s)) for s in systems
-    }
+    return {s: run_system(s, cfg) for s in systems}

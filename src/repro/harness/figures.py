@@ -20,7 +20,7 @@ from .report import FigureResult
 #: locality off, combining on — the "+ Combining" bar of Fig. 11/12.
 #: Kept as an alias of the factory's variant table; the figure runners
 #: below select the variant *by name*, which picks the pass list via
-#: :func:`repro.core.pipeline.eirene_pass_plan`.
+#: :meth:`repro.core.eirene.EireneTree.build_pipeline`.
 COMBINING_ONLY_CFG = EIRENE_VARIANTS["eirene+combining"]
 
 

@@ -212,6 +212,7 @@ class ParallelShardedSystem:
     # ------------------------------------------------------------------ #
     def process_batch(self, batch: RequestBatch, engine: str = "vector"):
         """Route, hand each owner its non-empty sub-batches, merge in shard order."""
+        batch.check_point_keys()
         routed = self.router.route(batch)
         msgs = []
         for owned in self._owned:

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._types import KIND_DTYPE, NULL_VALUE, OpKind
-from ..errors import WorkloadError
+from .._types import KIND_DTYPE, MAX_KEY, NULL_VALUE, OpKind
+from ..errors import TreeError, WorkloadError
 
 
 @dataclass
@@ -45,6 +45,16 @@ class RequestBatch:
     def timestamps(self) -> np.ndarray:
         """Logical timestamps = arrival order in the buffer."""
         return np.arange(self.n, dtype=np.int64)
+
+    def check_point_keys(self) -> None:
+        """Raise :class:`~repro.errors.TreeError` unless every non-RANGE
+        request's key lies in ``[0, MAX_KEY]`` — ``MAX_KEY + 1`` is the
+        empty-slot sentinel, which a leaf search would match. Systems call
+        this before any engine or shard touches the batch."""
+        keys = self.keys
+        bad = keys[(self.kinds != OpKind.RANGE) & ((keys < 0) | (keys > MAX_KEY))]
+        if bad.size:
+            raise TreeError(f"key {int(bad[0])} out of range")
 
     def kind_counts(self) -> dict[OpKind, int]:
         return {k: int((self.kinds == k).sum()) for k in OpKind}

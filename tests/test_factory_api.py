@@ -11,8 +11,8 @@ from repro import (
     NoCCGBTree,
     StmGBTree,
     TreeConfig,
+    build_device_tree,
     build_key_pool,
-    build_tree,
     make_system,
 )
 
@@ -20,7 +20,7 @@ from repro import (
 class TestBuildTree:
     def test_with_stm_tables(self, rng):
         keys, values = build_key_pool(256, rng)
-        tree, region, smo = build_tree(keys, values)
+        _, tree, region, smo = build_device_tree(keys, values)
         assert region is not None
         tree.validate()
         # metadata tables cover every node word
@@ -29,7 +29,7 @@ class TestBuildTree:
 
     def test_without_stm_tables(self, rng):
         keys, values = build_key_pool(256, rng)
-        tree, region, smo = build_tree(keys, values, with_stm_tables=False)
+        _, tree, region, smo = build_device_tree(keys, values, with_stm_tables=False)
         assert region is None
         tree.validate()
 

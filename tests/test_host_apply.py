@@ -17,6 +17,7 @@ from repro.btree import BPlusTree
 from repro.core.apply import apply_batch
 from repro.core.eirene import EireneTree
 from repro.errors import TreeError
+from repro.sharding import ParallelShardedSystem
 from repro.workloads.requests import RequestBatch
 from tests.apply_oracle import apply_in_timestamp_order, apply_issued_updates
 
@@ -153,18 +154,48 @@ BAD_KEY_BATCHES = {
     "last": ([OpKind.UPDATE, OpKind.INSERT, OpKind.INSERT], [8, 15, MAX_KEY + 1], [777, 1, 2]),
     # the bad insert is superseded by a delete of the same key
     "superseded": ([OpKind.INSERT, OpKind.DELETE], [MAX_KEY + 1, MAX_KEY + 1], [5, 0]),
+    # MAX_KEY + 1 is the empty-slot sentinel: a leaf search would match it
+    "lone-delete": ([OpKind.DELETE], [MAX_KEY + 1], [0]),
+    "query": ([OpKind.QUERY], [MAX_KEY + 1], [0]),
 }
+
+
+def _assert_bad_key_rejected(system, items, case: str, engine: str) -> None:
+    """The batch raises TreeError and leaves ``items()`` as it was."""
+    before = items()
+    kinds, bad_keys, values = BAD_KEY_BATCHES[case]
+    with pytest.raises(TreeError, match="out of range"):
+        system.process_batch(_batch(kinds, bad_keys, values), engine=engine)
+    after = items()
+    np.testing.assert_array_equal(after[0], before[0])
+    np.testing.assert_array_equal(after[1], before[1])
+
+
+def _assert_system_rejects_bad_key(name: str, case: str, engine: str) -> None:
+    keys = np.arange(0, KEY_SPACE, 4, dtype=np.int64)
+    system = make_system(name, keys, keys * 10, tree_config=TreeConfig(fanout=8))
+    _assert_bad_key_rejected(system, system.tree.items, case, engine)
 
 
 @pytest.mark.parametrize("case", list(BAD_KEY_BATCHES))
 @pytest.mark.parametrize("name", ["nocc", "stm", "lock", "eirene"])
 def test_bad_key_leaves_no_half_applied_batch(name, case):
+    _assert_system_rejects_bad_key(name, case, "vector")
+
+
+@pytest.mark.parametrize("case", list(BAD_KEY_BATCHES))
+@pytest.mark.parametrize("name", ["nocc", "stm", "lock", "eirene"])
+def test_bad_key_leaves_no_half_applied_batch_simt(name, case):
+    _assert_system_rejects_bad_key(name, case, "simt")
+
+
+@pytest.mark.parametrize("case", list(BAD_KEY_BATCHES))
+def test_bad_key_rejected_before_fleet_routing(case):
     keys = np.arange(0, KEY_SPACE, 4, dtype=np.int64)
-    system = make_system(name, keys, keys * 10, tree_config=TreeConfig(fanout=8))
-    before = system.tree.items()
-    kinds, bad_keys, values = BAD_KEY_BATCHES[case]
-    with pytest.raises(TreeError, match="out of range"):
-        system.process_batch(_batch(kinds, bad_keys, values), engine="vector")
-    after = system.tree.items()
-    np.testing.assert_array_equal(after[0], before[0])
-    np.testing.assert_array_equal(after[1], before[1])
+    fleet = ParallelShardedSystem(
+        "eirene", keys, keys * 10, 2, n_workers=0, tree_config=TreeConfig(fanout=8)
+    )
+    try:
+        _assert_bad_key_rejected(fleet, fleet.items, case, "vector")
+    finally:
+        fleet.close()

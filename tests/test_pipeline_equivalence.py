@@ -11,11 +11,11 @@ Two guarantees:
    variants, on both engines.  The goldens below were captured from the
    tree at the commit immediately before the refactor.
 
-``enable_kernel_partition=False`` has goldens-free coverage only: the
-flag was dead pre-refactor (both branches ran the partitioned kernels),
-so there is no pre-refactor behavior to pin — it is now a real ablation
-(unified kernel; see ``eirene_pass_plan``) and is checked against the
-sequential reference instead.
+``enable_kernel_partition=False`` was dead pre-refactor (both branches ran
+the partitioned kernels); it became a real ablation (the unified kernel of
+``EireneTree.build_pipeline``) afterwards. Its ``eirene-no-partition``
+goldens pin the unified-kernel totals as they stood before the SIMT launch
+passes were folded into one launch path.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro import (
     check_linearizable,
     make_system,
 )
-from repro.core.pipeline import eirene_pass_plan
 
 SEED = 20260806
 MIX = YcsbMix(query=0.6, update=0.2, insert=0.1, delete=0.05, range_=0.05)
@@ -50,6 +49,7 @@ GOLDEN_SYSTEMS = {
     "eirene-combining-only": "eirene+combining",
     "eirene-no-rf": "eirene-no-rf",
     "eirene-no-ntg": "eirene-no-ntg",
+    "eirene-no-partition": "eirene-no-partition",
 }
 
 # Captured from the pre-refactor implementation (fixed recipe below).
@@ -208,6 +208,28 @@ GOLDENS = {
         "traversal_steps": 5.714285714285714,
         "values_sum": 465347231355,
     },
+    "eirene-no-partition/vector": {
+        "mem_inst": 22371.899999999998,
+        "control_inst": 16487.7,
+        "alu_inst": 10299.375,
+        "atomic_inst": 1032.0,
+        "transactions": 6624.974999999999,
+        "conflicts": 75.375,
+        "seconds": 8.042362719208227e-07,
+        "traversal_steps": 4.0,
+        "values_sum": 465347231355,
+    },
+    "eirene-no-partition/simt": {
+        "mem_inst": 29479.0,
+        "control_inst": 21993.0,
+        "alu_inst": 0.0,
+        "atomic_inst": 1964.0,
+        "transactions": 20850.0,
+        "conflicts": 166.0,
+        "seconds": 4.150570921985816e-05,
+        "traversal_steps": 5.60774818401937,
+        "values_sum": 465347231355,
+    },
 }
 
 GOLDEN_FIELDS = (
@@ -269,6 +291,39 @@ FLAG_COMBOS = [
 ]
 
 
+# (engine, locality, partition) -> the pass names the pipeline runs
+PASS_NAMES = {
+    ("vector", True, True): (
+        "combine", "partition", "locality", "query_kernel", "range_scan",
+        "update_kernel", "result_cal", "finalize",
+    ),
+    ("vector", False, True): (
+        "combine", "partition", "traversal", "query_kernel", "range_scan",
+        "update_kernel", "result_cal", "finalize",
+    ),
+    ("vector", True, False): (
+        "combine", "partition", "locality", "range_scan", "unified_kernel",
+        "result_cal", "finalize",
+    ),
+    ("vector", False, False): (
+        "combine", "partition", "traversal", "range_scan", "unified_kernel",
+        "result_cal", "finalize",
+    ),
+    ("simt", True, True): (
+        "combine", "partition", "query_kernel", "update_kernel", "result_cal", "finalize",
+    ),
+    ("simt", False, True): (
+        "combine", "partition", "query_kernel", "update_kernel", "result_cal", "finalize",
+    ),
+    ("simt", True, False): (
+        "combine", "partition", "range_scan", "unified_kernel", "result_cal", "finalize",
+    ),
+    ("simt", False, False): (
+        "combine", "partition", "range_scan", "unified_kernel", "result_cal", "finalize",
+    ),
+}
+
+
 def _combo_id(cfg: EireneConfig) -> str:
     return "".join(
         flag[0] if on else "-"
@@ -293,6 +348,7 @@ def test_all_flag_combos_match_reference(cfg, engine):
     exp_k, exp_v = ref.items()
     assert np.array_equal(got_k, exp_k)
     assert np.array_equal(got_v, exp_v)
-    # the pipeline the system actually ran is the one the plan promises
+    # the pipeline the system actually ran is the one its flags select
     assert out.trace is not None
-    assert tuple(out.trace.pass_names) == eirene_pass_plan(cfg, engine)
+    key = (engine, cfg.enable_locality, cfg.enable_kernel_partition)
+    assert tuple(out.trace.pass_names) == PASS_NAMES[key]
