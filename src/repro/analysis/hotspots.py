@@ -16,7 +16,7 @@ Attribution model, per warp slot:
 * every memory address observed in the slot counts one **access** for its
   bucket;
 * the slot's loads (and separately stores) are grouped by 128-byte
-  segment; each bucket is charged ``segments_touched - ideal_segments``
+  segment; each bucket is charged ``touched - ideal`` segments as
   **waste** transactions, where ``ideal`` is the fewest segments that
   could hold the bucket's distinct addresses — i.e. the coalescing
   shortfall attributable to that bucket's placement;

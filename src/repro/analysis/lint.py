@@ -20,13 +20,14 @@ R2    **unused-result** — a ``yield Load(...)`` or ``yield
       dead traffic: the executor charges a transaction for a value the
       program never sees. ``AtomicAdd``/``AtomicExch`` are exempt — they
       are legitimately used for their side effect (version bumps).
-R3    **host-call** — counted arena accessors (``arena.read``,
-      ``arena.write``, ``arena.atomic_*``, gathers/scatters) must not be
-      called from device code: they mutate memory *and* statistics
-      outside the instruction stream, bypassing the SIMT cost model.
-      (Host-plane idioms — reading ``arena.data`` to charge equivalent
-      Stores, calling ``tree.upsert`` under a held latch — stay legal:
-      they are the documented "instantaneous host mutation" device.)
+R3    **host-call** — the arena's host-only methods (``arena.alloc``,
+      ``arena.alloc_system``, ``arena.host_view``, ``arena.reset``) must
+      not be called from device code: they allocate, hand out or wipe
+      memory outside the instruction stream, bypassing the SIMT cost
+      model. (Host-plane idioms — reading ``arena.data`` to charge
+      equivalent Stores, calling ``tree.upsert`` under a held latch —
+      stay legal: they are the documented "instantaneous host mutation"
+      device.)
 R4    **missing-branch** — a value obtained from a direct data yield
       (``Load``/atomic) that feeds an ``if``/``while``/``for`` test must
       have a ``yield Branch()`` between the yield and the test:
@@ -64,11 +65,8 @@ OP_SINGLETONS = {"BRANCH": "Branch"}
 DATA_OPS = frozenset({"Load", "AtomicCAS", "AtomicAdd", "AtomicExch"})
 #: ops whose result must be consumed (R2)
 CONSUME_OPS = frozenset({"Load", "AtomicCAS"})
-#: counted MemoryArena accessors forbidden in device code (R3)
-COUNTED_ACCESSORS = frozenset(
-    {"read", "write", "atomic_cas", "atomic_add", "atomic_exch",
-     "read_gather", "write_scatter"}
-)
+#: host-only MemoryArena methods forbidden in device code (R3)
+HOST_ONLY_ARENA_CALLS = frozenset({"alloc", "alloc_system", "host_view", "reset"})
 
 _NESTED_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
@@ -193,12 +191,12 @@ class _FunctionLinter:
             if (
                 isinstance(n, ast.Call)
                 and isinstance(n.func, ast.Attribute)
-                and n.func.attr in COUNTED_ACCESSORS
+                and n.func.attr in HOST_ONLY_ARENA_CALLS
                 and "arena" in ast.unparse(n.func.value)
             ):
                 self.emit(
                     n.lineno, "R3-host-call",
-                    f"counted accessor {ast.unparse(n.func)}() bypasses "
+                    f"host-only call {ast.unparse(n.func)}() bypasses "
                     "the Op stream in device code",
                 )
 

@@ -178,7 +178,7 @@ class Sanitizer(DeviceProbe):
 
     When built with an arena, one shadow word per device word is reserved
     via :meth:`~repro.memory.MemoryArena.alloc_system` (outside the device
-    heap, excluded from all counted statistics) holding the launch epoch
+    heap, never addressed by device code) holding the launch epoch
     that last touched the word — giving O(1) lazy invalidation of shadow
     records at launch boundaries instead of clearing the record table on
     every launch.

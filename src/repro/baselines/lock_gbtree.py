@@ -167,7 +167,7 @@ class LockGBTree(System):
 
     def __init__(self, tree: BPlusTree, devctx: DeviceContext) -> None:
         super().__init__(tree, devctx)
-        self.latches = LatchTable(tree.arena)
+        self.latches = LatchTable()
 
     def build_pipeline(self, engine: str) -> PassPipeline:
         if engine == "vector":

@@ -11,7 +11,6 @@ from .layout import (
     OFF_VERSION,
     NodeLayout,
 )
-from .node import NodeAccessor
 from .traversal import (
     TraversalEvents,
     batch_find_leaf,
@@ -25,7 +24,6 @@ from .tree import BPlusTree, SplitEvent
 __all__ = [
     "BPlusTree",
     "HEADER_WORDS",
-    "NodeAccessor",
     "NodeLayout",
     "OFF_COUNT",
     "OFF_KEYS",

@@ -1,8 +1,8 @@
 """Typed node views generated from :class:`~repro.btree.layout.NodeLayout`.
 
 Every node field the layout defines appears once in :data:`FIELDS`; from
-that single declarative table three view classes are *generated* — one per
-access plane — so call sites write ``node.count``, ``node.keys[slot]`` or
+that single declarative table two view classes are *generated* — one per
+plane — so call sites write ``node.count``, ``node.keys[slot]`` or
 ``node.children[i]`` instead of hand-rolled ``lay.addr(node, OFF_*)``
 arithmetic:
 
@@ -10,13 +10,9 @@ arithmetic:
   word address. Device thread programs use this to ``yield Load(a.fence)``;
   the accounting stays wherever the instruction is executed, so swapping
   raw arithmetic for views is invisible to the event counters.
-* :class:`NodeView` — the **counted plane**: reading ``v.count`` issues a
-  counted arena access with the same label the scalar accessors always
-  charged (``node_header``, ``keys``, ``payload``, …); ``v.keys[:]`` is one
-  coalesced warp gather.
-* :class:`HostNodeView` — the **host plane**: uncounted numpy views for
-  bulk build, splits and validation, mirroring the paper's convention that
-  CPU-side tree construction is free.
+* :class:`HostNodeView` — the **host plane**: numpy views of the arena's
+  words for bulk build, splits and validation, mirroring the paper's
+  convention that CPU-side tree construction is free.
 
 :class:`StructView` binds a layout to an arena and hands out per-node views
 plus the vectorized address helpers the batch traversal engine needs
@@ -47,23 +43,22 @@ from .layout import (
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """One scalar header field: its offset word and its counted-access label."""
+    """One scalar header field and its offset word."""
 
     name: str
     offset: int
-    label: str
 
 
 #: the declarative layout table all view classes are generated from —
 #: one row per header word of :mod:`repro.btree.layout`
 FIELDS: tuple[FieldSpec, ...] = (
-    FieldSpec("count", OFF_COUNT, "node_header"),
-    FieldSpec("leaf", OFF_LEAF, "node_header"),
-    FieldSpec("version", OFF_VERSION, "version"),
-    FieldSpec("rf", OFF_RF, "rf"),
-    FieldSpec("next_leaf", OFF_NEXT, "leaf_chain"),
-    FieldSpec("lock", OFF_LOCK, "lock"),
-    FieldSpec("fence", OFF_FENCE, "fence"),
+    FieldSpec("count", OFF_COUNT),
+    FieldSpec("leaf", OFF_LEAF),
+    FieldSpec("version", OFF_VERSION),
+    FieldSpec("rf", OFF_RF),
+    FieldSpec("next_leaf", OFF_NEXT),
+    FieldSpec("lock", OFF_LOCK),
+    FieldSpec("fence", OFF_FENCE),
 )
 
 FIELD_BY_NAME: dict[str, FieldSpec] = {f.name: f for f in FIELDS}
@@ -139,80 +134,10 @@ for _f in FIELDS:
 
 
 # --------------------------------------------------------------------- #
-# counted plane
-# --------------------------------------------------------------------- #
-class CountedArray:
-    """Counted access to an in-node array; ``[:]`` is one warp gather."""
-
-    __slots__ = ("_arena", "base", "width", "label")
-
-    def __init__(self, arena: MemoryArena, base: int, width: int, label: str) -> None:
-        self._arena = arena
-        self.base = base
-        self.width = width
-        self.label = label
-
-    def __getitem__(self, slot):
-        if isinstance(slot, slice):
-            addrs = np.arange(self.width, dtype=np.int64)[slot] + self.base
-            return self._arena.read_gather(addrs, self.label)
-        return self._arena.read(self.base + slot, self.label)
-
-    def __setitem__(self, slot: int, value: int) -> None:
-        self._arena.write(self.base + slot, value, self.label)
-
-    def __len__(self) -> int:
-        return self.width
-
-
-class NodeView:
-    """Counted plane: field reads/writes charge the arena like device code."""
-
-    __slots__ = ("_arena", "_base", "_layout")
-
-    def __init__(self, arena: MemoryArena, layout: NodeLayout, node: int) -> None:
-        self._arena = arena
-        self._base = layout.node_base(node)
-        self._layout = layout
-
-    @property
-    def keys(self) -> CountedArray:
-        return CountedArray(self._arena, self._base + OFF_KEYS, self._layout.fanout, "keys")
-
-    @property
-    def payload(self) -> CountedArray:
-        return CountedArray(
-            self._arena, self._base + self._layout.payload_off,
-            self._layout.fanout + 1, "payload",
-        )
-
-    children = payload
-    values = payload
-
-    def bump_version(self) -> int:
-        """Atomically increment the split version; returns the new value."""
-        return self._arena.atomic_add(self._base + OFF_VERSION, 1) + 1
-
-
-def _counted_property(offset: int, label: str):
-    def get(self: NodeView) -> int:
-        return self._arena.read(self._base + offset, label)
-
-    def set_(self: NodeView, value: int) -> None:
-        self._arena.write(self._base + offset, value, label)
-
-    return property(get, set_)
-
-
-for _f in FIELDS:
-    setattr(NodeView, _f.name, _counted_property(_f.offset, _f.label))
-
-
-# --------------------------------------------------------------------- #
 # host plane
 # --------------------------------------------------------------------- #
 class HostNodeView:
-    """Uncounted numpy-backed view (bulk build, splits, validation)."""
+    """Numpy-backed view of one node's words (bulk build, splits, validation)."""
 
     __slots__ = ("_data", "_base", "_layout")
 
@@ -258,7 +183,7 @@ for _f in FIELDS:
 class StructView:
     """Layout-bound view factory over one arena.
 
-    Hands out per-node views on every plane, plus the vectorized address
+    Hands out per-node views on both planes, plus the vectorized address
     helpers the level-synchronous batch traversal uses (whole-batch gathers
     of one field or one key row per node).
     """
@@ -278,9 +203,6 @@ class StructView:
             a = self._addr_cache[node] = NodeAddrs(self.layout, node)
         return a
 
-    def node(self, node: int) -> NodeView:
-        return NodeView(self.arena, self.layout, node)
-
     def host(self, node: int) -> HostNodeView:
         return HostNodeView(self.arena.data, self.layout, node)
 
@@ -294,7 +216,7 @@ class StructView:
         return self.node_bases(nodes) + FIELD_BY_NAME[name].offset
 
     def host_field(self, nodes: np.ndarray, name: str) -> np.ndarray:
-        """Uncounted gather of one header field across ``nodes``."""
+        """Gather one header field across ``nodes``."""
         return self.arena.data[self.field_addrs(nodes, name)]
 
     def key_rows(self, nodes: np.ndarray) -> np.ndarray:

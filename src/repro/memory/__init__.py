@@ -1,13 +1,5 @@
-"""Simulated GPU global memory: arena, access stats, coalescing model."""
+"""Simulated GPU global memory: one word-addressable arena."""
 
 from .arena import MemoryArena
-from .coalescing import coalescing_efficiency, segments_touched, segments_touched_array
-from .stats import MemoryStats
 
-__all__ = [
-    "MemoryArena",
-    "MemoryStats",
-    "coalescing_efficiency",
-    "segments_touched",
-    "segments_touched_array",
-]
+__all__ = ["MemoryArena"]

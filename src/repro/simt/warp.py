@@ -60,6 +60,15 @@ _POPCOUNT = tuple(bin(i).count("1") for i in range(64))
 _lane_pos = attrgetter("pos")
 
 
+def _out_of_bounds(warp_id: int, pos: int, op, size: int) -> SimulationError:
+    """The error a memory op (load, store, atomic) raises for an address
+    outside the arena, naming the warp, lane and address."""
+    return SimulationError(
+        f"warp {warp_id} lane {pos}: {type(op).__name__} address {op.addr} "
+        f"out of bounds [0, {size})"
+    )
+
+
 class Lane:
     """One thread: a program generator plus its in-flight state."""
 
@@ -197,7 +206,7 @@ class Warp:
             if t is Load:
                 addr = op.addr
                 if not 0 <= addr < size:
-                    raise SimulationError(f"load address {addr} out of bounds")
+                    raise _out_of_bounds(self.warp_id, lane.pos, op, size)
                 n_load += 1
                 kinds |= 1
                 lseg_add(addr // wps)
@@ -213,16 +222,19 @@ class Warp:
             elif t is Store:
                 addr = op.addr
                 if not 0 <= addr < size:
-                    raise SimulationError(f"store address {addr} out of bounds")
+                    raise _out_of_bounds(self.warp_id, lane.pos, op, size)
                 data[addr] = op.value
                 sseg_add(addr // wps)
                 lane.send_value = None
                 n_store += 1
                 kinds |= 2
             elif t is AtomicCAS:
-                old = int(data[op.addr])
+                addr = op.addr
+                if not 0 <= addr < size:
+                    raise _out_of_bounds(self.warp_id, lane.pos, op, size)
+                old = item(addr)
                 if old == op.expected:
-                    data[op.addr] = op.desired
+                    data[addr] = op.desired
                 else:
                     atomic_conflicts += 1
                 lane.send_value = old
@@ -230,15 +242,21 @@ class Warp:
                 transactions += 1
                 kinds |= 4
             elif t is AtomicAdd:
-                old = int(data[op.addr])
-                data[op.addr] = old + op.delta
+                addr = op.addr
+                if not 0 <= addr < size:
+                    raise _out_of_bounds(self.warp_id, lane.pos, op, size)
+                old = item(addr)
+                data[addr] = old + op.delta
                 lane.send_value = old
                 n_atomic += 1
                 transactions += 1
                 kinds |= 4
             elif t is AtomicExch:
-                old = int(data[op.addr])
-                data[op.addr] = op.value
+                addr = op.addr
+                if not 0 <= addr < size:
+                    raise _out_of_bounds(self.warp_id, lane.pos, op, size)
+                old = item(addr)
+                data[addr] = op.value
                 lane.send_value = old
                 n_atomic += 1
                 transactions += 1

@@ -1,7 +1,6 @@
 """Software transactional memory (Holey & Zhai-style eager GPU STM)."""
 
-from .device import DeviceStm
+from .device import FREE, DeviceStm, StmRegion, Tx
 from .stats import StmStats
-from .tm import FREE, StmRegion, TransactionManager, Tx
 
-__all__ = ["FREE", "DeviceStm", "StmRegion", "StmStats", "TransactionManager", "Tx"]
+__all__ = ["FREE", "DeviceStm", "StmRegion", "StmStats", "Tx"]

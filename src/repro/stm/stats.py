@@ -7,7 +7,7 @@ counters are the source for both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -21,7 +21,6 @@ class StmStats:
     conflicts_rw: int = 0
     conflicts_validation: int = 0
     conflicts_version: int = 0
-    by_label: dict[str, int] = field(default_factory=dict)
 
     @property
     def conflicts(self) -> int:
@@ -44,10 +43,9 @@ class StmStats:
         self.conflicts_rw = 0
         self.conflicts_validation = 0
         self.conflicts_version = 0
-        self.by_label.clear()
 
     def snapshot(self) -> "StmStats":
-        out = StmStats(
+        return StmStats(
             begins=self.begins,
             commits=self.commits,
             aborts=self.aborts,
@@ -56,8 +54,6 @@ class StmStats:
             conflicts_validation=self.conflicts_validation,
             conflicts_version=self.conflicts_version,
         )
-        out.by_label = dict(self.by_label)
-        return out
 
     def delta_since(self, earlier: "StmStats") -> "StmStats":
         return StmStats(

@@ -1,16 +1,16 @@
-"""Fixture: violates R3 — counted arena accessors inside device code."""
+"""Fixture: violates R3 — host-only arena calls inside device code."""
 
 from repro.simt.instructions import Branch, Store
 
 
-def d_counted_read(arena, addr):
-    value = arena.read(addr)  # R3: bypasses the Op stream
+def d_alloc_in_kernel(arena, nwords):
+    base = arena.alloc(nwords)  # R3: allocation is host setup
     yield Branch()
-    return value
+    return base
 
 
-def d_counted_write(tree, addr, value):
-    tree.arena.write(addr, value)  # R3: bypasses the Op stream
+def d_host_view_write(tree, addr, value):
+    tree.arena.host_view(addr, 1)[0] = value  # R3: bypasses the Op stream
     yield Store(addr, value)
 
 

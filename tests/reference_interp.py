@@ -39,6 +39,16 @@ def _segments(addrs: list[int], wps: int) -> int:
     return len({a // wps for a in addrs})
 
 
+def _check_addr(warp: Warp, lane_idx: int, op: Op, size: int) -> int:
+    addr = op.addr
+    if not 0 <= addr < size:
+        raise SimulationError(
+            f"warp {warp.warp_id} lane {lane_idx}: {type(op).__name__} "
+            f"address {addr} out of bounds [0, {size})"
+        )
+    return addr
+
+
 def reference_step(
     warp: Warp, counters: KernelCounters, cycle: float
 ) -> tuple[int, int, int]:
@@ -69,9 +79,7 @@ def reference_step(
         lane.steps += 1
         t = type(op)
         if t is Load:
-            addr = op.addr
-            if not 0 <= addr < size:
-                raise SimulationError(f"load address {addr} out of bounds")
+            addr = _check_addr(warp, lane_idx, op, size)
             lane.send_value = int(data[addr])
             load_addrs.append(addr)
             counters.mem_inst += 1
@@ -84,18 +92,17 @@ def reference_step(
             counters.alu_inst += op.count
             kinds |= 8
         elif t is Store:
-            addr = op.addr
-            if not 0 <= addr < size:
-                raise SimulationError(f"store address {addr} out of bounds")
+            addr = _check_addr(warp, lane_idx, op, size)
             data[addr] = op.value
             store_addrs.append(addr)
             counters.mem_inst += 1
             counters.store_inst += 1
             kinds |= 2
         elif t is AtomicCAS:
-            old = int(data[op.addr])
+            addr = _check_addr(warp, lane_idx, op, size)
+            old = int(data[addr])
             if old == op.expected:
-                data[op.addr] = op.desired
+                data[addr] = op.desired
             else:
                 atomic_conflicts += 1
             lane.send_value = old
@@ -104,16 +111,18 @@ def reference_step(
             transactions += 1
             kinds |= 4
         elif t is AtomicAdd:
-            old = int(data[op.addr])
-            data[op.addr] = old + op.delta
+            addr = _check_addr(warp, lane_idx, op, size)
+            old = int(data[addr])
+            data[addr] = old + op.delta
             lane.send_value = old
             counters.atomic_inst += 1
             counters.atomic_transactions += 1
             transactions += 1
             kinds |= 4
         elif t is AtomicExch:
-            old = int(data[op.addr])
-            data[op.addr] = op.value
+            addr = _check_addr(warp, lane_idx, op, size)
+            old = int(data[addr])
+            data[addr] = op.value
             lane.send_value = old
             counters.atomic_inst += 1
             counters.atomic_transactions += 1

@@ -251,7 +251,7 @@ class TestRF:
         rf = leaf_rf_values(tree, np.array(leaves))
         for i, leaf in enumerate(leaves):
             if i + hop < len(leaves):
-                expected = int(tree.nodes.host_keys(leaves[i + hop])[0])
+                expected = int(tree.views.host(leaves[i + hop]).keys[0])
                 assert rf[i] == expected
             else:
                 assert rf[i] == EMPTY_KEY
@@ -319,7 +319,7 @@ class TestValidateDetectsCorruption:
     def test_unsorted_keys_detected(self):
         tree, _, _ = build(n=100)
         leaf = tree.leaf_ids()[0]
-        hk = tree.nodes.host_keys(leaf)
+        hk = tree.views.host(leaf).keys
         hk[0], hk[1] = hk[1].copy(), hk[0].copy()
         with pytest.raises(TreeError):
             tree.validate()

@@ -37,7 +37,6 @@ def setup():
     arena2 = MemoryArena(nwords * 3 + 64)
     arena2.data[: tree.arena.data.size] = tree.arena.data
     tree.arena = arena2
-    tree.nodes.arena = arena2
     arena2.alloc(nwords)
     region = StmRegion(arena2, tree.layout.base, nwords)
     smo = arena2.alloc(1)
@@ -97,7 +96,7 @@ class TestUnprotectedOps:
         # keys moved right: a stale reference for a moved key must report
         # not-covered
         moved = tree.split_events[0]
-        right_first = int(tree.nodes.host_keys(moved.new_node)[0])
+        right_first = int(tree.views.host(moved.new_node).keys[0])
         assert not run_subroutine(
             d_leaf_covers(tree, moved.node, right_first), tree.arena
         )
@@ -122,7 +121,7 @@ class TestDeviceLeafMutations:
         for leaf in tree.leaf_ids():
             cnt = int(tree.arena.data[tree.layout.addr(leaf, OFF_COUNT)])
             if cnt < tree.layout.fanout:
-                hk = tree.nodes.host_keys(leaf)
+                hk = tree.views.host(leaf).keys
                 candidate = int(hk[0]) + 1
                 if tree.search(candidate) == NULL_VALUE and tree.find_leaf(candidate)[0] == leaf:
                     old, split = run_subroutine(
@@ -138,7 +137,7 @@ class TestDeviceLeafMutations:
         tree, keys, _, _ = setup
         # fill one leaf completely
         leaf = tree.leaf_ids()[0]
-        hk = tree.nodes.host_keys(leaf)
+        hk = tree.views.host(leaf).keys
         lo = int(hk[0])
         k = lo
         while int(tree.arena.data[tree.layout.addr(leaf, OFF_COUNT)]) < tree.layout.fanout:
@@ -222,7 +221,7 @@ class TestSmoPath:
         tree, keys, stm, smo = setup
         # fill a leaf, then insert through the SMO path
         leaf = tree.leaf_ids()[2]
-        hk = tree.nodes.host_keys(leaf)
+        hk = tree.views.host(leaf).keys
         lo = int(hk[0])
         k = lo
         while int(tree.arena.data[tree.layout.addr(leaf, OFF_COUNT)]) < tree.layout.fanout:

@@ -17,7 +17,7 @@ identical under both, on
 
 Also covered: the barrier-deadlock watchdog, the
 :class:`~repro.sharding.ParallelShardedSystem` worker-count invariance and
-failure handling, and the arena's lazy label accounting.
+failure handling, and the bounds check every memory op makes.
 
 Random programs respect the ``WaitGE`` contract: the condition sequence is
 only ever advanced by same-warp lanes, and each waiting program keeps its
@@ -39,6 +39,7 @@ from repro.simt import (
     Alu,
     AtomicAdd,
     AtomicCAS,
+    AtomicExch,
     Branch,
     KernelLaunch,
     Load,
@@ -463,16 +464,39 @@ def test_parallel_sharded_worker_error_propagates():
 
 
 # --------------------------------------------------------------------- #
-# arena: lazy label flush
+# memory-op bounds checks
 # --------------------------------------------------------------------- #
-def test_lazy_label_accounting_flushes_on_observation():
-    a = MemoryArena(64)
-    for _ in range(5):
-        a.read(1, label="hot")
-    a.write(2, 9, label="cold")
-    assert a._pending_labels == {"hot": 5, "cold": 1}
-    stats = a.stats  # observation folds the pending dict in
-    assert a._pending_labels == {}
-    assert stats.by_label == {"hot": 5, "cold": 1}
-    # repeated observation does not double-count
-    assert a.stats.by_label == {"hot": 5, "cold": 1}
+OOB_WORDS = 16
+OOB_OPS = {
+    "Load": lambda a: Load(a),
+    "Store": lambda a: Store(a, 1),
+    "AtomicCAS": lambda a: AtomicCAS(a, 0, 1),
+    "AtomicAdd": lambda a: AtomicAdd(a, 1),
+    "AtomicExch": lambda a: AtomicExch(a, 1),
+}
+
+
+@pytest.mark.parametrize("interp", ["warp", "oracle"])
+@pytest.mark.parametrize("addr", [-1, OOB_WORDS])
+@pytest.mark.parametrize("kind", list(OOB_OPS))
+def test_out_of_bounds_memory_op_raises(kind, addr, interp, monkeypatch):
+    """Every memory op checks ``0 <= addr < size`` under both interpreters
+    and names the warp, lane and address; none wraps onto a real word."""
+    if interp == "oracle":
+        monkeypatch.setattr(Warp, "step", reference_step)
+    arena = MemoryArena(OOB_WORDS)
+
+    def lane(op):
+        yield Branch()
+        if op is not None:
+            yield op
+
+    launch = KernelLaunch(DeviceConfig(num_sms=1), arena, 6)
+    launch.add_warp([lane(None) for _ in range(3)])
+    launch.add_warp([lane(None), lane(None), lane(OOB_OPS[kind](addr))])
+    with pytest.raises(
+        SimulationError,
+        match=rf"warp 1 lane 2: {kind} address {addr} out of bounds \[0, {OOB_WORDS}\)",
+    ):
+        launch.run()
+    assert not arena.data.any()

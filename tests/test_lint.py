@@ -55,7 +55,7 @@ def test_r2_unused_result():
 def test_r3_host_call():
     findings = lint_file(FIXTURES / "bad_host_call.py")
     assert rules_in(findings) == ["R3-host-call", "R3-host-call"]
-    assert {f.func for f in findings} == {"d_counted_read", "d_counted_write"}
+    assert {f.func for f in findings} == {"d_alloc_in_kernel", "d_host_view_write"}
 
 
 def test_r4_missing_branch():

@@ -1,46 +1,45 @@
-"""Unit tests for the latch table (host + device planes)."""
+"""Unit tests for the latch table (device latch ops and stats)."""
 
 import pytest
 
 from repro.config import DeviceConfig
-from repro.errors import LockError
 from repro.locks import FREE, LatchTable, LockStats
 from repro.memory import MemoryArena
 from repro.simt import KernelLaunch
-from repro.simt.warp import run_subroutine
+from repro.simt import KernelCounters
+from repro.simt.warp import Warp, run_subroutine
 
 
 @pytest.fixture
 def table():
     arena = MemoryArena(64)
     arena.alloc(8)
-    return LatchTable(arena), arena
+    return LatchTable(), arena
 
 
 class TestHostPlane:
+    """Latch calls driven from the host, one subroutine at a time."""
+
     def test_acquire_release(self, table):
         latches, arena = table
-        assert latches.try_acquire(0, owner=5)
+        assert run_subroutine(latches.d_acquire(0, owner=5), arena) == 0
         assert arena.data[0] == 6  # owner + 1
-        latches.release(0, owner=5)
+        run_subroutine(latches.d_release(0), arena)
         assert arena.data[0] == FREE
+        assert (latches.stats.acquires, latches.stats.releases) == (1, 1)
 
     def test_contended_acquire_fails_and_counts_spin(self, table):
-        latches, _ = table
-        assert latches.try_acquire(0, owner=1)
-        assert not latches.try_acquire(0, owner=2)
+        latches, arena = table
+        run_subroutine(latches.d_acquire(0, owner=1), arena)
+        warp = Warp([latches.d_acquire(0, owner=2)], arena)
+        counters = KernelCounters(n_requests=0)
+        for _ in range(4):  # CAS, branch, CAS, branch
+            warp.step(counters, 0.0)
+        assert warp.active
+        assert arena.data[0] == 2  # still owner 1's
+        assert counters.atomic_conflicts == 2
+        # a failed spin is counted when the lane resumes after its branch
         assert latches.stats.spins == 1
-
-    def test_foreign_release_rejected(self, table):
-        latches, _ = table
-        latches.try_acquire(0, owner=1)
-        with pytest.raises(LockError):
-            latches.release(0, owner=2)
-
-    def test_release_unheld_rejected(self, table):
-        latches, _ = table
-        with pytest.raises(LockError):
-            latches.release(3, owner=0)
 
 
 class TestDevicePlane:

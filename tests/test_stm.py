@@ -1,4 +1,4 @@
-"""Unit + property tests for the STM (host plane and device plane)."""
+"""Unit + property tests for the device STM (protocol cases and launches)."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from repro.errors import TransactionAborted, TransactionError
 from repro.memory import MemoryArena
 from repro.simt import KernelLaunch
 from repro.simt.warp import run_subroutine
-from repro.stm import FREE, DeviceStm, StmRegion, TransactionManager
+from repro.stm import FREE, DeviceStm, StmRegion
 from repro.config import DeviceConfig
 
 
@@ -18,123 +18,101 @@ def tm():
     arena = MemoryArena(1024)
     data_base = arena.alloc(64)
     region = StmRegion(arena, data_base, 64)
-    return TransactionManager(arena, region), arena, data_base
+    return DeviceStm(arena, region), arena, data_base
+
+
+def call(stm, gen):
+    """Run one STM device call to completion as a one-lane subroutine."""
+    return run_subroutine(gen, stm.arena)
 
 
 class TestHostStm:
+    """The STM protocol cases on :class:`DeviceStm`, each step driven from
+    the host as its own subroutine so transactions interleave by hand."""
+
     def test_read_write_commit(self, tm):
-        mgr, arena, base = tm
-        tx = mgr.begin()
-        mgr.write(tx, base, 42)
-        mgr.commit(tx)
+        stm, arena, base = tm
+        tx = stm.begin()
+        call(stm, stm.d_write(tx, base, 42))
+        call(stm, stm.d_commit(tx))
         assert arena.data[base] == 42
-        assert mgr.stats.commits == 1
+        assert stm.stats.commits == 1
 
     def test_abort_rolls_back(self, tm):
-        mgr, arena, base = tm
+        stm, arena, base = tm
         arena.data[base] = 7
-        tx = mgr.begin()
-        mgr.write(tx, base, 99)
+        tx = stm.begin()
+        call(stm, stm.d_write(tx, base, 99))
         assert arena.data[base] == 99  # eager in-place write
-        mgr.abort(tx)
+        call(stm, stm.d_abort(tx))
         assert arena.data[base] == 7
 
     def test_ww_conflict_aborts_second_writer(self, tm):
-        mgr, arena, base = tm
-        t1 = mgr.begin()
-        t2 = mgr.begin()
-        mgr.write(t1, base, 1)
+        stm, arena, base = tm
+        t1 = stm.begin()
+        t2 = stm.begin()
+        call(stm, stm.d_write(t1, base, 1))
         with pytest.raises(TransactionAborted):
-            mgr.write(t2, base, 2)
-        assert mgr.stats.conflicts_ww == 1
+            call(stm, stm.d_write(t2, base, 2))
+        assert stm.stats.conflicts_ww == 1
         assert not t2.active
-        mgr.commit(t1)
+        call(stm, stm.d_commit(t1))
         assert arena.data[base] == 1
 
     def test_read_of_owned_word_aborts_reader(self, tm):
-        mgr, arena, base = tm
-        t1 = mgr.begin()
-        mgr.write(t1, base, 1)
-        t2 = mgr.begin()
+        stm, arena, base = tm
+        t1 = stm.begin()
+        call(stm, stm.d_write(t1, base, 1))
+        t2 = stm.begin()
         with pytest.raises(TransactionAborted):
-            mgr.read(t2, base)
-        assert mgr.stats.conflicts_rw == 1
+            call(stm, stm.d_read(t2, base))
+        assert stm.stats.conflicts_rw == 1
 
     def test_commit_validation_catches_stale_read(self, tm):
-        mgr, arena, base = tm
-        t1 = mgr.begin()
-        assert mgr.read(t1, base) == 0
+        stm, arena, base = tm
+        t1 = stm.begin()
+        assert call(stm, stm.d_read(t1, base)) == 0
         # another tx writes and commits in between
-        t2 = mgr.begin()
-        mgr.write(t2, base, 5)
-        mgr.commit(t2)
+        t2 = stm.begin()
+        call(stm, stm.d_write(t2, base, 5))
+        call(stm, stm.d_commit(t2))
         with pytest.raises(TransactionAborted):
-            mgr.commit(t1)
-        assert mgr.stats.conflicts_validation == 1
+            call(stm, stm.d_commit(t1))
+        assert stm.stats.conflicts_validation == 1
 
     def test_read_own_write(self, tm):
-        mgr, _, base = tm
-        tx = mgr.begin()
-        mgr.write(tx, base, 11)
-        assert mgr.read(tx, base) == 11
-        mgr.commit(tx)
+        stm, _, base = tm
+        tx = stm.begin()
+        call(stm, stm.d_write(tx, base, 11))
+        assert call(stm, stm.d_read(tx, base)) == 11
+        call(stm, stm.d_commit(tx))
 
     def test_ownership_released_after_commit(self, tm):
-        mgr, arena, base = tm
-        tx = mgr.begin()
-        mgr.write(tx, base, 1)
-        mgr.commit(tx)
-        assert arena.data[mgr.region.owner_addr(base)] == FREE
-
-    def test_double_commit_rejected(self, tm):
-        mgr, _, base = tm
-        tx = mgr.begin()
-        mgr.commit(tx)
-        with pytest.raises(TransactionError):
-            mgr.commit(tx)
+        stm, arena, base = tm
+        tx = stm.begin()
+        call(stm, stm.d_write(tx, base, 1))
+        call(stm, stm.d_commit(tx))
+        assert arena.data[stm.region.owner_addr(base)] == FREE
 
     def test_address_outside_region_rejected(self, tm):
-        mgr, _, base = tm
-        tx = mgr.begin()
+        stm, _, base = tm
+        tx = stm.begin()
         with pytest.raises(TransactionError):
-            mgr.read(tx, base + 1000)
-
-    def test_run_retries_until_success(self, tm):
-        mgr, arena, base = tm
-        blocker = mgr.begin()
-        mgr.write(blocker, base, 1)
-        attempts = []
-
-        def body(tx):
-            attempts.append(1)
-            if len(attempts) == 1:
-                # simulate the blocker committing mid-flight
-                mgr.commit(blocker)
-            return mgr.read(tx, base)
-
-        val, n = mgr.run(body)
-        assert val == 1
-        assert n >= 1
-
-    def test_run_gives_up(self, tm):
-        mgr, _, base = tm
-
-        def body(tx):
-            raise TransactionAborted("forced")
-
-        # aborted outside the manager: begin/abort mismatch is fine, the
-        # retry loop just exhausts
-        with pytest.raises(TransactionError):
-            mgr.run(body, max_retries=3)
+            call(stm, stm.d_read(tx, base + 1000))
 
     def test_metadata_traffic_is_counted(self, tm):
-        mgr, arena, base = tm
-        before = arena.stats.snapshot()
-        tx = mgr.begin()
-        mgr.read(tx, base)
-        mgr.commit(tx)
-        delta = arena.stats.delta_since(before)
-        assert delta.by_label.get("stm_meta", 0) >= 2  # owner + version reads
+        stm, arena, base = tm
+
+        def prog():
+            tx = stm.begin()
+            yield from stm.d_read(tx, base)
+            yield from stm.d_commit(tx)
+
+        launch = KernelLaunch(DeviceConfig(num_sms=1), arena, 1)
+        launch.add_warp([prog()])
+        c = launch.run()
+        # owner + version + data on the read, the version again at commit
+        assert c.load_inst == 4
 
 
 class TestSerializabilityProperty:
@@ -143,16 +121,15 @@ class TestSerializabilityProperty:
     def test_sequential_transactions_apply_all_writes(self, writes):
         arena = MemoryArena(256)
         base = arena.alloc(8)
-        region = StmRegion(arena, base, 8)
-        mgr = TransactionManager(arena, region)
+        stm = DeviceStm(arena, StmRegion(arena, base, 8))
         model = [0] * 8
         for off, val in writes:
-            tx = mgr.begin()
-            mgr.write(tx, base + off, val)
-            mgr.commit(tx)
+            tx = stm.begin()
+            call(stm, stm.d_write(tx, base + off, val))
+            call(stm, stm.d_commit(tx))
             model[off] = val
         assert [int(arena.data[base + i]) for i in range(8)] == model
-        assert mgr.stats.aborts == 0
+        assert stm.stats.aborts == 0
 
 
 class TestDeviceStm:

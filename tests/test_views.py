@@ -1,4 +1,4 @@
-"""Typed node views: address arithmetic, planes, labels, vector helpers."""
+"""Typed node views: address arithmetic, planes, vector helpers."""
 
 from __future__ import annotations
 
@@ -20,7 +20,15 @@ from repro.btree.layout import (
     NodeLayout,
 )
 from repro.btree.views import FIELD_BY_NAME, FIELDS, StructView
+from repro.config import DeviceConfig
 from repro.memory import MemoryArena
+from repro.simt import AtomicAdd, KernelLaunch, Load, Store
+from repro.simt.warp import run_subroutine
+
+
+def _one(op):
+    """A lane program issuing ``op`` once and returning its result."""
+    return (yield op)
 
 
 @pytest.fixture
@@ -84,52 +92,49 @@ class TestAddressPlane:
 
 
 class TestCountedPlane:
-    def test_counted_reads_charge_the_canonical_labels(self, view):
-        arena = view.arena
-        arena.stats.reset()
-        n = view.node(0)
-        _ = n.count
-        _ = n.version
-        _ = n.rf
-        _ = n.fence
-        _ = n.next_leaf
-        _ = n.keys[0]
-        _ = n.payload[0]
-        labels = arena.stats.by_label
-        for want in ("node_header", "version", "rf", "fence", "leaf_chain", "keys", "payload"):
-            assert want in labels, f"missing counted label {want!r} in {labels}"
+    """Device access: ops on address-plane words, run by the interpreter."""
 
-    def test_counted_write_and_row_read(self, view):
-        n = view.node(1)
-        n.count = 5
-        n.keys[2] = 42
-        assert n.count == 5
-        assert n.keys[2] == 42
-        row = n.keys[:]
-        assert row[2] == 42 and len(row) == len(n.keys)
+    def test_counted_write_and_row_read(self, layout, view):
+        a = view.addrs(1)
+
+        def prog():
+            yield Store(a.count, 5)
+            yield Store(a.keys[2], 42)
+            count = yield Load(a.count)
+            key = yield Load(a.keys[2])
+            return count, key
+
+        assert run_subroutine(prog(), view.arena) == (5, 42)
+        launch = KernelLaunch(DeviceConfig(num_sms=1), view.arena, layout.fanout)
+        warp = launch.add_warp([_one(Load(int(addr))) for addr in a.keys.row()])
+        counters = launch.run()
+        row = warp.results()
+        assert row[2] == 42 and len(row) == len(a.keys)
+        assert counters.issued_slots == 1  # one warp-wide row load
 
     def test_bump_version_is_atomic_increment(self, view):
-        n = view.node(1)
-        before = n.version
-        assert n.bump_version() == before + 1
-        assert n.version == before + 1
+        a = view.addrs(1)
+        before = view.host(1).version
+        assert run_subroutine(_one(AtomicAdd(a.version, 1)), view.arena) == before
+        assert view.host(1).version == before + 1
 
 
 class TestHostPlane:
     def test_host_views_bypass_counting(self, view):
-        view.arena.stats.reset()
         h = view.host(0)
         h.count = 3
         h.fence = 17
         h.keys[:] = 9
+        a = view.addrs(0)
+        data = view.arena.data
+        assert data[a.count] == 3 and data[a.fence] == 17
+        assert np.all(data[a.keys.row()] == 9)
         assert view.arena.stats.accesses == 0
-        assert h.count == 3 and h.fence == 17
-        assert int(h.keys[0]) == 9
 
     def test_host_and_counted_planes_alias_the_same_words(self, view):
         h = view.host(2)
         h.next_leaf = 123
-        assert view.node(2).next_leaf == 123
+        assert run_subroutine(_one(Load(view.addrs(2).next_leaf)), view.arena) == 123
 
 
 class TestVectorHelpers:
@@ -173,23 +178,11 @@ class TestTreeIntegration:
         bigger.data[: old_data.size] = old_data
         bigger.alloc(old_data.size)
         tree.arena = bigger
-        tree.nodes.arena = bigger
         assert tree.views.arena is bigger
-        assert tree.nodes.views.arena is bigger
         tree.upsert(1, 7)  # mutations land in the new arena
         assert tree.search(1) == 7
         got = np.array_equal(old_data, bigger.data[: old_data.size])
         assert not got, "write went to the transplanted-away arena"
-
-    def test_accessor_delegates_to_views(self):
-        keys = np.arange(0, 64, 2, dtype=np.int64)
-        tree = BPlusTree.build(keys, keys + 1, TreeConfig(fanout=8))
-        acc = tree.nodes
-        leaf, _ = tree.find_leaf(10)
-        assert acc.count(leaf) == tree.views.host(leaf).count
-        assert acc.is_leaf(leaf)
-        assert acc.key(leaf, 0) == int(tree.views.host(leaf).keys[0])
-        np.testing.assert_array_equal(acc.host_keys(leaf), tree.views.host(leaf).keys)
 
     def test_clear_node_initializes_empty_leaf(self):
         lay = NodeLayout(fanout=8)
@@ -197,9 +190,8 @@ class TestTreeIntegration:
         arena.alloc(arena.capacity)
         view = StructView(arena, lay)
         arena.data[:] = -7  # garbage
-        from repro.btree.node import NodeAccessor
-
-        NodeAccessor(arena, lay).clear_node(1, leaf=True)
+        tree = BPlusTree(arena, lay, TreeConfig(fanout=8), max_nodes=4)
+        tree.clear_node(1, leaf=True)
         h = view.host(1)
         assert h.leaf == 1 and h.count == 0
         assert h.next_leaf == -1 and h.rf == EMPTY_KEY
