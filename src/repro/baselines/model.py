@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._types import OpKind, is_update_kind_array
-from ..btree import batch_find_leaf
+from ..btree import batch_find_leaf, leaf_chain_index
 from ..config import DeviceConfig
 
 #: probability that two same-leaf operations of one batch overlap in time.
@@ -257,8 +257,5 @@ def range_spans(tree, batch, range_idx: np.ndarray) -> np.ndarray:
     """Leaves each range request at ``range_idx`` spans, both ends included."""
     lo_leaves, _ = batch_find_leaf(tree, batch.keys[range_idx])
     hi_leaves, _ = batch_find_leaf(tree, batch.range_ends[range_idx])
-    index_of = {leaf: i for i, leaf in enumerate(tree.leaf_ids())}
-    return np.array(
-        [index_of[int(h)] - index_of[int(l)] + 1 for l, h in zip(lo_leaves, hi_leaves)],
-        dtype=np.int64,
-    )
+    _, index_of = leaf_chain_index(tree)
+    return index_of[hi_leaves] - index_of[lo_leaves] + 1

@@ -16,6 +16,8 @@ from .traversal import (
     batch_find_leaf,
     batch_horizontal_find_leaf,
     batch_leaf_lookup,
+    batch_leaf_slots,
+    leaf_chain_index,
     leaf_max_keys,
     leaf_rf_values,
 )
@@ -37,6 +39,8 @@ __all__ = [
     "batch_find_leaf",
     "batch_horizontal_find_leaf",
     "batch_leaf_lookup",
+    "batch_leaf_slots",
+    "leaf_chain_index",
     "leaf_max_keys",
     "leaf_rf_values",
 ]

@@ -94,6 +94,21 @@ def batch_find_leaf(tree: BPlusTree, keys: np.ndarray) -> tuple[np.ndarray, Trav
     return nodes, ev
 
 
+def batch_leaf_slots(
+    tree: BPlusTree, leaves: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Locate each key in its leaf; returns (payload word address, hit).
+
+    Where ``hit`` is False the address is that of the slot the key would
+    sort into, not of a stored value.
+    """
+    fanout = tree.layout.fanout
+    rows = _key_rows(tree, leaves)
+    pos = np.minimum((rows < keys[:, None]).sum(axis=1), fanout - 1)
+    hit = rows[np.arange(keys.size), pos] == keys
+    return tree.views.payload_addrs(leaves, pos), hit
+
+
 def batch_leaf_lookup(
     tree: BPlusTree, leaves: np.ndarray, keys: np.ndarray
 ) -> tuple[np.ndarray, TraversalEvents]:
@@ -104,14 +119,9 @@ def batch_leaf_lookup(
     ev = TraversalEvents(requests=n, leaf_lookups=n)
     if n == 0:
         return np.zeros(0, dtype=np.int64), ev
-    lay = tree.layout
-    rows = _key_rows(tree, leaves)
-    ev.key_words_read += n * lay.fanout
-    pos = (rows < keys[:, None]).sum(axis=1)
-    pos_c = np.minimum(pos, lay.fanout - 1)
-    hit = rows[np.arange(n), pos_c] == keys
-    payload = tree.arena.data[tree.views.payload_addrs(leaves, pos_c)]
-    vals = np.where(hit, payload, NULL_VALUE)
+    ev.key_words_read += n * tree.layout.fanout
+    addrs, hit = batch_leaf_slots(tree, leaves, keys)
+    vals = np.where(hit, tree.arena.data[addrs], NULL_VALUE)
     return vals.astype(np.int64), ev
 
 
@@ -162,6 +172,15 @@ def batch_horizontal_find_leaf(
         active[idx[~advance]] = False
     ev.steps_per_request = steps.copy()
     return leaves, steps, ev
+
+
+def leaf_chain_index(tree: BPlusTree) -> tuple[np.ndarray, np.ndarray]:
+    """Leaf ids in chain order, and each node's position on the chain
+    (indexed by node id; -1 for inner and unused nodes)."""
+    chain = np.asarray(tree.leaf_ids(), dtype=np.int64)
+    index_of = np.full(tree.max_nodes, -1, dtype=np.int64)
+    index_of[chain] = np.arange(chain.size)
+    return chain, index_of
 
 
 def leaf_max_keys(tree: BPlusTree, leaves: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._types import EMPTY_KEY
-from ..btree import batch_find_leaf, leaf_rf_values
+from ..btree import batch_find_leaf, leaf_chain_index, leaf_rf_values
 from ..btree.tree import BPlusTree
 
 
@@ -113,9 +113,7 @@ def vector_locality_steps(
     """
     n = int(keys.size)
     leaves, _ = batch_find_leaf(tree, keys)
-    chain = tree.leaf_ids()
-    index_of = np.full(tree.max_nodes, -1, dtype=np.int64)
-    index_of[np.asarray(chain, dtype=np.int64)] = np.arange(len(chain))
+    chain, index_of = leaf_chain_index(tree)
     leaf_idx = index_of[leaves]
     height = tree.height
 
@@ -124,7 +122,7 @@ def vector_locality_steps(
     rg_lockstep = np.zeros(plan.n_rgs, dtype=np.int64)
     rf_updates = 0
 
-    rf_of_leaf = leaf_rf_values(tree, np.asarray(chain, dtype=np.int64))
+    rf_of_leaf = leaf_rf_values(tree, chain)
     for w in range(plan.n_warps):
         buffered_idx = -1
         buffered_rf = -1
@@ -142,7 +140,7 @@ def vector_locality_steps(
                 if update_rf and int(s.max()) > height:
                     # §5: record the RF so later iterations go vertical
                     tree.update_rf(int(chain[buffered_idx]), int(s.max()))
-                    rf_of_leaf = leaf_rf_values(tree, np.asarray(chain, dtype=np.int64))
+                    rf_of_leaf = leaf_rf_values(tree, chain)
                     rf_updates += 1
             else:
                 rg_lockstep[r] = height

@@ -210,8 +210,9 @@ class HostApplyPass(Pass):
     """Vector-engine state evolution: leave the tree and results exactly as
     a timestamp-order execution of the batch would
     (:func:`~repro.core.apply.apply_batch` — point results from the
-    combining plan, one host tree call per non-query request) and charge
-    the split SMOs it performed.
+    combining plan, overwrites of present keys in one scatter, one host
+    tree call per other non-query request) and charge the split SMOs it
+    performed.
 
     ``split_cost_factor`` scales the SMO instruction bundle to the
     system's split mechanism (plain rewrite, latched, ownership storm).
