@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._types import NO_NODE
 from ..memory import MemoryArena
 from .layout import (
     HEADER_WORDS,
@@ -165,7 +166,7 @@ class HostNodeView:
 
 def _host_property(offset: int):
     def get(self: HostNodeView) -> int:
-        return int(self._data[self._base + offset])
+        return self._data.item(self._base + offset)
 
     def set_(self: HostNodeView, value: int) -> None:
         self._data[self._base + offset] = value
@@ -205,6 +206,22 @@ class StructView:
 
     def host(self, node: int) -> HostNodeView:
         return HostNodeView(self.arena.data, self.layout, node)
+
+    def leaf_chain(self, root: int) -> list[int]:
+        """Leaf ids in chain order: down the leftmost children from
+        ``root``, then along the ``next_leaf`` pointers. One word read per
+        step and no per-node view, since every walk of the chain (range
+        spans, locality, validation) crosses thousands of leaves."""
+        word = self.arena.data.item
+        lay = self.layout
+        node = root
+        while not word(lay.addr(node, OFF_LEAF)):
+            node = word(lay.addr(node, lay.payload_off))
+        out = []
+        while node != NO_NODE:
+            out.append(node)
+            node = word(lay.addr(node, OFF_NEXT))
+        return out
 
     # vectorized (host-plane) helpers -----------------------------------
     def node_bases(self, nodes: np.ndarray) -> np.ndarray:

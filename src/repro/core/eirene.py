@@ -219,7 +219,9 @@ def _apply_writers(ctx: PipelineContext, totals: EventTotals) -> None:
     tree = ctx.tree
     u_runs = ctx.art["u_runs"]
     splits_before = len(tree.split_events)
-    u_old = ctx.system._apply_issued_updates(ctx.batch, ctx.art["plan"], u_runs)
+    u_old = ctx.system._apply_issued_updates(
+        ctx.batch, ctx.art["plan"], u_runs, ctx.art["u_leaves"]
+    )
     splits = len(tree.split_events) - splits_before
     totals.add(ctx.imodel.split_smo, count=splits, coalesce=COALESCE_SORTED)
     ctx.art["old_vals"][u_runs] = u_old
@@ -520,11 +522,12 @@ class EireneTree(System):
         return raw, span_total
 
     def _apply_issued_updates(
-        self, batch: RequestBatch, plan: CombinePlan, u_runs: np.ndarray
+        self, batch: RequestBatch, plan: CombinePlan, u_runs: np.ndarray, u_leaves: np.ndarray
     ) -> np.ndarray:
-        """Apply issued update-class requests (unique keys) host-side in
-        run order; returns their old values."""
-        return apply_in_order(self.tree, batch, plan.issued_orig[u_runs])[0]
+        """Apply issued update-class requests (unique keys, in their leaves
+        ``u_leaves``) host-side in run order; returns their old values."""
+        idx = plan.issued_orig[u_runs]
+        return apply_in_order(self.tree, batch, idx, plan.issued_keys[u_runs], u_leaves)[0]
 
     # ------------------------------------------------------------------ #
     # SIMT program builders

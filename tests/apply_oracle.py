@@ -42,9 +42,10 @@ def apply_in_timestamp_order(tree, batch) -> BatchResults:
     return results
 
 
-def apply_issued_updates(system, batch, plan, u_runs) -> np.ndarray:
+def apply_issued_updates(system, batch, plan, u_runs, u_leaves) -> np.ndarray:
     """Apply issued update-class requests (unique keys) host-side in run
-    order; returns their old values."""
+    order, one host call each (``u_leaves`` unused); returns their old
+    values."""
     old = np.full(u_runs.size, NULL_VALUE, dtype=np.int64)
     tree = system.tree
     for j, r in enumerate(u_runs):
