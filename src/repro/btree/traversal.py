@@ -1,10 +1,18 @@
 """Vectorized batch traversal over the B+tree.
 
 The vector engine processes whole request batches level-synchronously: all
-requests descend one tree level per step as a single gather, mirroring how a
-GPU kernel's warps advance through the tree together. Every function returns
-both results and a :class:`TraversalEvents` record — the event counts the
-device cost model converts to instructions/transactions.
+requests descend one tree level per step, mirroring how a GPU kernel's warps
+advance through the tree together. Every function returns both results and a
+:class:`TraversalEvents` record — the event counts the device cost model
+converts to instructions/transactions.
+
+Each level is a *merge*, not a per-request row scan. With the keys sorted,
+the nodes one level's requests visit come in key order, and the real keys of
+those nodes, laid end to end, form one sorted array; a single
+``searchsorted`` then ranks every request key inside its own node (see
+:func:`_rank_in_nodes`). This is the §5 observation — after sorting and
+combining, adjacent requests target the same or adjacent nodes — used on
+the host side. The event counts stay those of the device's full-row scan.
 
 Horizontal (leaf-chain) traversal implements the §5 locality path: starting
 from a buffered leaf, walk ``next_leaf`` pointers until the target key is
@@ -17,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._types import EMPTY_KEY, NO_NODE, NULL_VALUE
+from .._types import NO_NODE, NULL_VALUE
 from .tree import BPlusTree
 
 
@@ -57,18 +65,47 @@ class TraversalEvents:
         return self.vertical_steps + self.horizontal_steps
 
 
-def _key_rows(tree: BPlusTree, nodes: np.ndarray) -> np.ndarray:
-    """Gather the full key row of each node (shape: len(nodes) x fanout)."""
-    return tree.views.key_rows(nodes)
+def _rank_in_nodes(
+    tree: BPlusTree, nodes: np.ndarray, keys: np.ndarray, side: str
+) -> np.ndarray:
+    """Rank of each key among the real keys of its node: the number of them
+    ``<= keys[i]`` (``side="right"``) or ``< keys[i]`` (``side="left"``).
+
+    ``keys`` must be sorted and ``nodes[i]`` must be the node of one level
+    whose routing range ``[lo, hi)`` holds ``keys[i]``. Then each node's
+    requests form one run, and the runs' nodes are in key order. The
+    invariants :meth:`BPlusTree.validate` checks — keys strictly increase
+    within a node, lie in the node's ``[lo, hi)``, and unused slots lie
+    beyond ``count`` — make the nodes' real keys, laid end to end, one sorted
+    array in which every key of an earlier node is ``< keys[i]`` and every
+    key of a later node is ``> keys[i]``. One ``searchsorted`` over it, less
+    the start of the node's keys, is the rank.
+    """
+    n = int(keys.size)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(nodes[1:], nodes[:-1], out=head[1:])
+    run = np.cumsum(head) - 1
+    distinct = nodes[head]
+    views = tree.views
+    counts = views.host_field(distinct, "count")
+    rows = views.key_rows(distinct)
+    merged = rows[np.arange(tree.layout.fanout) < counts[:, None]]
+    starts = np.cumsum(counts) - counts
+    return np.searchsorted(merged, keys, side=side) - starts[run]
 
 
 def batch_find_leaf(tree: BPlusTree, keys: np.ndarray) -> tuple[np.ndarray, TraversalEvents]:
     """Vertical traversal for every key; returns leaf ids and event counts.
 
     All leaves sit at depth ``tree.height``, so the descent is a fixed
-    number of level-synchronous gathers. Unused key slots hold ``EMPTY_KEY``,
-    letting the child-slot computation scan the full row branch-free —
-    the same trick the counted device programs use.
+    number of level-synchronous steps. The keys are sorted once, on entry
+    (cheap when they arrive sorted, as issued requests do); each level is
+    one merge rank (:func:`_rank_in_nodes`) and one child gather, and the
+    leaves are returned in input order. The events charge every request a
+    full key row per inner level, as the device programs scan it.
     """
     keys = np.asarray(keys, dtype=np.int64)
     n = int(keys.size)
@@ -80,9 +117,10 @@ def batch_find_leaf(tree: BPlusTree, keys: np.ndarray) -> tuple[np.ndarray, Trav
     lay = tree.layout
     views = tree.views
     data = tree.arena.data
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
     for _ in range(tree.height - 1):
-        rows = _key_rows(tree, nodes)
-        slots = (rows <= keys[:, None]).sum(axis=1)
+        slots = _rank_in_nodes(tree, nodes, sorted_keys, "right")
         nodes = data[views.payload_addrs(nodes, slots)]
         ev.node_visits += n
         ev.key_words_read += n * lay.fanout
@@ -91,7 +129,9 @@ def batch_find_leaf(tree: BPlusTree, keys: np.ndarray) -> tuple[np.ndarray, Trav
     ev.node_visits += n
     ev.vertical_steps += n
     ev.steps_per_request = np.full(n, tree.height, dtype=np.int64)
-    return nodes, ev
+    leaves = np.empty_like(nodes)
+    leaves[order] = nodes
+    return leaves, ev
 
 
 def batch_leaf_slots(
@@ -99,13 +139,18 @@ def batch_leaf_slots(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Locate each key in its leaf; returns (payload word address, hit).
 
-    Where ``hit`` is False the address is that of the slot the key would
-    sort into, not of a stored value.
+    ``leaves[i]`` must be the leaf covering ``keys[i]`` in the tree as it
+    stands (what :func:`batch_find_leaf` returns). Where ``hit`` is False
+    the address is that of the slot the key would sort into — clipped to
+    the last slot of a full leaf — not of a stored value.
     """
-    fanout = tree.layout.fanout
-    rows = _key_rows(tree, leaves)
-    pos = np.minimum((rows < keys[:, None]).sum(axis=1), fanout - 1)
-    hit = rows[np.arange(keys.size), pos] == keys
+    keys = np.asarray(keys, dtype=np.int64)
+    leaves = np.asarray(leaves, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    rank = np.empty(keys.size, dtype=np.int64)
+    rank[order] = _rank_in_nodes(tree, leaves[order], keys[order], "left")
+    pos = np.minimum(rank, tree.layout.fanout - 1)
+    hit = tree.views.host_keys(leaves, pos) == keys
     return tree.views.payload_addrs(leaves, pos), hit
 
 
@@ -187,8 +232,7 @@ def leaf_max_keys(tree: BPlusTree, leaves: np.ndarray) -> np.ndarray:
     """Largest real key per leaf (-1 for an empty leaf). Host plane."""
     leaves = np.asarray(leaves, dtype=np.int64)
     counts = tree.views.host_field(leaves, "count")
-    rows = _key_rows(tree, leaves)
-    return np.where(counts > 0, rows[np.arange(len(leaves)), np.maximum(counts - 1, 0)], -1)
+    return np.where(counts > 0, tree.views.host_keys(leaves, np.maximum(counts - 1, 0)), -1)
 
 
 def leaf_rf_values(tree: BPlusTree, leaves: np.ndarray) -> np.ndarray:

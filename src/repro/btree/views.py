@@ -15,9 +15,11 @@ arithmetic:
   convention that CPU-side tree construction is free.
 
 :class:`StructView` binds a layout to an arena and hands out per-node views
-plus the vectorized address helpers the batch traversal engine needs
-(``field_addrs``, ``key_rows``), so the level-synchronous gathers are also
-expressed against field *names* rather than offsets.
+plus the vectorized helpers the batch traversal engine needs (``host_field``,
+``key_rows``, ``host_keys``, ``payload_addrs``), so the level-synchronous
+gathers are also expressed against field *names* rather than offsets. The
+host-plane gathers slice rows of the node matrix — the node region seen as a
+``(nodes, stride)`` array — rather than building a per-word index array.
 """
 
 from __future__ import annotations
@@ -224,24 +226,29 @@ class StructView:
         return out
 
     # vectorized (host-plane) helpers -----------------------------------
-    def node_bases(self, nodes: np.ndarray) -> np.ndarray:
+    def _node_matrix(self) -> np.ndarray:
+        """The node region as a ``(nodes, stride)`` view of the arena: row
+        ``i`` holds node ``i``'s words. Rebuilt per call, because
+        :meth:`~repro.memory.MemoryArena.alloc_system` and ``reset`` may
+        replace the backing array; the reshape itself copies nothing."""
         lay = self.layout
-        return lay.base + np.asarray(nodes, dtype=np.int64) * lay.stride
-
-    def field_addrs(self, nodes: np.ndarray, name: str) -> np.ndarray:
-        """Address of field ``name`` for every node in ``nodes``."""
-        return self.node_bases(nodes) + FIELD_BY_NAME[name].offset
+        data = self.arena.data
+        n = (data.size - lay.base) // lay.stride
+        return data[lay.base : lay.base + n * lay.stride].reshape(n, lay.stride)
 
     def host_field(self, nodes: np.ndarray, name: str) -> np.ndarray:
         """Gather one header field across ``nodes``."""
-        return self.arena.data[self.field_addrs(nodes, name)]
+        return self._node_matrix()[nodes, FIELD_BY_NAME[name].offset]
 
     def key_rows(self, nodes: np.ndarray) -> np.ndarray:
         """Key rows of ``nodes`` (host plane; shape ``len(nodes) x fanout``)."""
-        lay = self.layout
-        idx = self.node_bases(nodes)[:, None] + OFF_KEYS + np.arange(lay.fanout)
-        return self.arena.data[idx]
+        return self._node_matrix()[nodes, OFF_KEYS : OFF_KEYS + self.layout.fanout]
+
+    def host_keys(self, nodes: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """Key slot ``slots[i]`` of node ``nodes[i]`` (host plane)."""
+        return self._node_matrix()[nodes, OFF_KEYS + np.asarray(slots, dtype=np.int64)]
 
     def payload_addrs(self, nodes: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """Address of payload slot ``slots[i]`` in node ``nodes[i]``."""
-        return self.node_bases(nodes) + self.layout.payload_off + slots
+        lay = self.layout
+        return lay.base + np.asarray(nodes, dtype=np.int64) * lay.stride + lay.payload_off + slots

@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._types import NULL_VALUE, OpKind
-from ..btree import batch_find_leaf, batch_leaf_lookup
+from ..btree import batch_find_leaf, batch_leaf_lookup, leaf_chain_index
 from ..btree.tree import BPlusTree
 from ..config import EireneConfig, FULL_EIRENE
 from ..device import DeviceContext
@@ -106,13 +106,17 @@ class PartitionPass(Pass):
 # vector-engine passes
 # --------------------------------------------------------------------- #
 class VectorTraversalPass(Pass):
-    """Issued requests' leaves and traversal steps, per class. With locality
-    (§5 warp reorganization) iteration plans let horizontal walks shortcut
-    vertical descents; without it every request descends root→leaf.
+    """Issued requests' leaves and traversal steps, per class. One
+    :func:`batch_find_leaf` over all issued keys (and, with locality, one
+    :func:`leaf_chain_index`) serves both kernel classes; each class takes
+    its slice. With locality (§5 warp reorganization) iteration plans let
+    horizontal walks shortcut vertical descents; without it every request
+    descends root→leaf.
 
     Query-class steps are computed before update-class steps — the RF
-    maintenance of :func:`vector_locality_steps` mutates tree state in that
-    order, matching the kernel launch order.
+    maintenance of :func:`vector_locality_steps` writes RF words in that
+    order, matching the kernel launch order. RF words do not route, so the
+    shared leaves stay valid for the second class.
     """
 
     def __init__(self, locality: bool = True, enable_rf: bool = True) -> None:
@@ -123,21 +127,23 @@ class VectorTraversalPass(Pass):
     def run(self, ctx: PipelineContext) -> None:
         plan: CombinePlan = ctx.art["plan"]
         cfg = ctx.system.config
+        tree = ctx.tree
+        all_leaves, _ = batch_find_leaf(tree, plan.issued_keys)
+        chain_index = leaf_chain_index(tree) if self.locality else None
         for cls in ("q", "u"):
-            keys = plan.issued_keys[ctx.art[f"{cls}_runs"]]
-            if not keys.size:
-                leaves = np.zeros(0, dtype=np.int64)
-                steps = np.zeros(0, dtype=np.int64)
-            elif self.locality:
+            runs = ctx.art[f"{cls}_runs"]
+            keys = plan.issued_keys[runs]
+            leaves = all_leaves[runs]
+            if self.locality and keys.size:
                 iplan = build_iteration_plan(
                     int(keys.size), ctx.device.warp_size,
                     cfg.rgs_per_iteration_warp, ctx.device.num_sms,
                 )
-                ls = vector_locality_steps(ctx.tree, iplan, keys, enable_rf=self.enable_rf)
-                leaves, steps = ls.leaves, ls.steps
+                steps = vector_locality_steps(
+                    tree, iplan, keys, leaves, chain_index, enable_rf=self.enable_rf
+                ).steps
             else:
-                leaves, _ = batch_find_leaf(ctx.tree, keys)
-                steps = np.full(keys.size, ctx.tree.height, dtype=np.int64)
+                steps = np.full(keys.size, tree.height, dtype=np.int64)
             ctx.art[f"{cls}_leaves"] = leaves
             ctx.art[f"{cls}_steps"] = steps
 

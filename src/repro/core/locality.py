@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._types import EMPTY_KEY
-from ..btree import batch_find_leaf, leaf_chain_index, leaf_rf_values
+from ..btree import leaf_rf_values
 from ..btree.tree import BPlusTree
 
 
@@ -86,7 +86,6 @@ class LocalitySteps:
 
     steps: np.ndarray  # per request: nodes traversed (own lane)
     horizontal: np.ndarray  # per request: took the leaf-chain path
-    leaves: np.ndarray  # per request: final leaf
     #: per RG: lockstep cost (max steps over its lanes — SIMT executes the
     #: longest lane's walk)
     rg_lockstep_steps: np.ndarray
@@ -101,19 +100,23 @@ def vector_locality_steps(
     tree: BPlusTree,
     plan: IterationPlan,
     keys: np.ndarray,
+    leaves: np.ndarray,
+    chain_index: tuple[np.ndarray, np.ndarray],
     enable_rf: bool = True,
     update_rf: bool = True,
 ) -> LocalitySteps:
     """Exact traversal-step computation for the vector engine.
 
-    Uses the leaf-chain index: a horizontal walk from leaf at chain
+    ``keys`` are the key-sorted issued requests, ``leaves`` their leaves
+    (:func:`~repro.btree.batch_find_leaf`) and ``chain_index`` the tree's
+    :func:`~repro.btree.leaf_chain_index`; the caller traverses once and
+    shares both across kernel classes. A horizontal walk from leaf at chain
     position ``a`` to position ``b`` takes ``b - a + 1`` node visits
     (reading the buffered leaf included), versus ``height`` for a vertical
     descent.
     """
     n = int(keys.size)
-    leaves, _ = batch_find_leaf(tree, keys)
-    chain, index_of = leaf_chain_index(tree)
+    chain, index_of = chain_index
     leaf_idx = index_of[leaves]
     height = tree.height
 
@@ -138,9 +141,11 @@ def vector_locality_steps(
                 horizontal[lo:hi] = True
                 rg_lockstep[r] = int(s.max())
                 if update_rf and int(s.max()) > height:
-                    # §5: record the RF so later iterations go vertical
-                    tree.update_rf(int(chain[buffered_idx]), int(s.max()))
-                    rf_of_leaf = leaf_rf_values(tree, chain)
+                    # §5: record the RF so later iterations go vertical;
+                    # update_rf writes the buffered leaf's RF word only
+                    start = int(chain[buffered_idx])
+                    tree.update_rf(start, int(s.max()))
+                    rf_of_leaf[buffered_idx] = tree.views.host(start).rf
                     rf_updates += 1
             else:
                 rg_lockstep[r] = height
@@ -151,7 +156,6 @@ def vector_locality_steps(
     return LocalitySteps(
         steps=steps,
         horizontal=horizontal,
-        leaves=leaves,
         rg_lockstep_steps=rg_lockstep,
         rf_updates=rf_updates,
     )

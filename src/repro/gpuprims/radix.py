@@ -25,6 +25,9 @@ from .scan import ScanWork, exclusive_scan
 DIGIT_BITS = 8
 RADIX = 1 << DIGIT_BITS
 DIGIT_MASK = RADIX - 1
+#: smallest unsigned dtype holding a digit; ranking digits of this width
+#: lets numpy's stable sort take its own radix path
+DIGIT_DTYPE = np.min_scalar_type(DIGIT_MASK)
 
 
 @dataclass
@@ -98,7 +101,7 @@ def radix_argsort(keys: np.ndarray, work: RadixWork | None = None) -> np.ndarray
     npasses = significant_passes(keys)
     scan_work = ScanWork()
     for p in range(npasses):
-        digits = (cur >> (p * DIGIT_BITS)) & DIGIT_MASK
+        digits = ((cur >> (p * DIGIT_BITS)) & DIGIT_MASK).astype(DIGIT_DTYPE)
         hist = np.bincount(digits, minlength=RADIX).astype(np.int64)
         starts = exclusive_scan(hist, scan_work)
         pos = _stable_rank(digits, starts)

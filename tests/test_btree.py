@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._types import EMPTY_KEY, NO_NODE, NULL_VALUE
+from repro._types import EMPTY_KEY, MAX_KEY, NO_NODE, NULL_VALUE
 from repro.btree import (
     BPlusTree,
     NodeLayout,
     batch_find_leaf,
     batch_horizontal_find_leaf,
     batch_leaf_lookup,
+    batch_leaf_slots,
     leaf_max_keys,
     leaf_rf_values,
 )
@@ -264,7 +265,88 @@ class TestRF:
         assert int(leaf_rf_values(tree, np.array([leaf]))[0]) == before
 
 
+def mutated_tree(fanout, seed=0):
+    """A tree past its bulk build: full leaves at the low end, emptied
+    leaves and random deletes in the middle, split leaves at the high end."""
+    rng = np.random.default_rng(seed)
+    n = 24 * fanout
+    keys = np.sort(rng.choice(n * 10, size=n, replace=False)).astype(np.int64) + 50
+    tree = BPlusTree.build(keys, keys * 2 + 1, TreeConfig(fanout=fanout), fill_factor=1.0)
+    for k in rng.choice(np.arange(n * 5, n * 10) + 50, size=4 * fanout, replace=False):
+        tree.upsert(int(k), int(k) * 2 + 1)  # splits
+    leaves = tree.leaf_ids()
+    mid = len(leaves) // 2
+    for leaf in (leaves[mid - 3], leaves[mid - 2], leaves[mid]):
+        for k in tree.views.host(leaf).keys[: tree.views.host(leaf).count].tolist():
+            tree.delete(int(k))  # empties the leaf
+    quarter = keys[keys.size // 4]
+    for k in rng.choice(keys[(keys >= quarter) & (keys < keys[keys.size // 2])], size=fanout):
+        tree.delete(int(k))
+    tree.validate()
+    return tree
+
+
+def traversal_probes(tree, rng):
+    """Sorted, unsorted and repeated keys, the extremes, and for every full
+    leaf the key just above its maximum (kept only where it still routes to
+    that leaf, so the slot clips to ``fanout - 1`` without a hit)."""
+    stored, _ = tree.items()
+    over_full = [
+        int(h.keys[-1]) + 1
+        for h in (tree.views.host(leaf) for leaf in tree.leaf_ids())
+        if h.count == tree.layout.fanout
+    ]
+    over_full = np.array(
+        [k for k in over_full if tree.leaf_slot(tree.find_leaf(k)[0], k - 1) >= 0],
+        dtype=np.int64,
+    )
+    randoms = rng.integers(0, int(stored.max()) + 100, size=200)
+    extremes = np.array([0, int(stored.min()) - 1, MAX_KEY], dtype=np.int64)
+    return over_full, np.concatenate([
+        stored,
+        randoms,
+        np.repeat(rng.choice(stored, size=20), 3),
+        rng.permutation(np.concatenate([stored[::3], randoms[:50]])),
+        extremes,
+        over_full,
+    ])
+
+
 class TestBatchTraversal:
+    @pytest.mark.parametrize("fanout", [4, 8, 32])
+    def test_merge_descent_matches_scalar_oracle(self, fanout):
+        tree = mutated_tree(fanout)
+        assert any(tree.views.host(leaf).count == 0 for leaf in tree.leaf_ids())
+        over_full, probe = traversal_probes(tree, np.random.default_rng(fanout))
+        assert over_full.size  # the clip case is exercised
+        self.check_against_scalar(tree, probe)
+        addrs, hit = batch_leaf_slots(tree, batch_find_leaf(tree, over_full)[0], over_full)
+        assert not hit.any()
+        leaves = [tree.find_leaf(int(k))[0] for k in over_full]
+        assert addrs.tolist() == [tree.layout.payload_addr(leaf, fanout - 1) for leaf in leaves]
+
+    def test_merge_descent_on_a_single_leaf_tree(self):
+        tree, keys, _ = build(n=5, fanout=8)
+        assert tree.height == 1
+        probe = np.concatenate([keys, keys[::-1] + 1, [0, MAX_KEY], np.repeat(keys[:2], 2)])
+        self.check_against_scalar(tree, probe)
+
+    @staticmethod
+    def check_against_scalar(tree, probe):
+        probe = np.asarray(probe, dtype=np.int64)
+        fanout = tree.layout.fanout
+        leaves, ev = batch_find_leaf(tree, probe)
+        addrs, hit = batch_leaf_slots(tree, leaves, probe)
+        vals, _ = batch_leaf_lookup(tree, leaves, probe)
+        assert ev.vertical_steps == probe.size * tree.height
+        for k, leaf, addr, h, v in zip(probe.tolist(), leaves, addrs, hit, vals, strict=True):
+            assert tree.find_leaf(k)[0] == leaf
+            row = tree.views.host(int(leaf)).keys
+            pos = min(int(np.searchsorted(row, k, side="left")), fanout - 1)
+            assert addr == tree.layout.payload_addr(int(leaf), pos)
+            assert h == (tree.leaf_slot(int(leaf), k) >= 0)
+            assert v == tree.search(k)
+
     def test_batch_find_leaf_matches_scalar(self):
         tree, keys, _ = build(n=600)
         probe = keys[::7]

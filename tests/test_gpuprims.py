@@ -102,6 +102,18 @@ class TestRadixSort:
         keys = np.array(xs, dtype=np.int64)
         assert np.array_equal(radix_argsort(keys), np.argsort(keys, kind="stable"))
 
+    def test_all_eight_digit_passes(self):
+        # keys near 2**63 - 1 differ in every byte, with ties in each digit
+        rng = np.random.default_rng(2)
+        top = np.iinfo(np.int64).max
+        keys = top - rng.integers(0, 2**62, size=3000)
+        keys[::7] = keys[::5][: keys[::7].size]  # duplicates
+        keys[:3] = [top, 0, top]
+        w = RadixWork()
+        perm = radix_argsort(keys, w)
+        assert w.passes == 8
+        assert np.array_equal(perm, np.argsort(keys, kind="stable"))
+
     def test_empty(self):
         assert radix_argsort(np.zeros(0, dtype=np.int64)).size == 0
 

@@ -138,14 +138,10 @@ class TestHostPlane:
 
 
 class TestVectorHelpers:
-    def test_field_addrs_and_host_field(self, layout, view):
+    def test_host_field(self, layout, view):
         nodes = np.array([0, 3, 5], dtype=np.int64)
         for node in nodes:
             view.host(int(node)).fence = 100 + int(node)
-        addrs = view.field_addrs(nodes, "fence")
-        np.testing.assert_array_equal(
-            addrs, [layout.addr(int(n), OFF_FENCE) for n in nodes]
-        )
         np.testing.assert_array_equal(view.host_field(nodes, "fence"), [100, 103, 105])
 
     def test_key_rows_matches_per_node_reads(self, layout, view):
@@ -156,6 +152,19 @@ class TestVectorHelpers:
         assert rows.shape == (2, layout.fanout)
         for i, node in enumerate(nodes):
             np.testing.assert_array_equal(rows[i], view.host(int(node)).keys)
+
+    def test_host_keys_gathers_one_slot_per_node(self, layout, view):
+        nodes = np.array([5, 2, 5], dtype=np.int64)
+        for node in (2, 5):
+            view.host(node).keys[:] = np.arange(layout.fanout) + node * 10
+        np.testing.assert_array_equal(view.host_keys(nodes, np.array([0, 7, 3])), [50, 27, 53])
+
+    def test_gathers_follow_a_replaced_backing_array(self, layout, view):
+        view.arena.alloc_system(layout.stride + 5)  # reallocates the array
+        view.host(3).keys[:] = 7
+        view.host(3).count = 2
+        np.testing.assert_array_equal(view.key_rows(np.array([3])), [[7] * layout.fanout])
+        np.testing.assert_array_equal(view.host_field(np.array([3]), "count"), [2])
 
     def test_payload_addrs(self, layout, view):
         nodes = np.array([2, 6], dtype=np.int64)
